@@ -71,6 +71,17 @@ def digest(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:16]
 
 
+def array_digest(*arrays: np.ndarray) -> str:
+    """Bitwise content hash of numpy arrays: dtype, shape and raw bytes,
+    so ``-0.0`` vs ``0.0`` and NaN payloads count as differences."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode("utf-8"))
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
 def flatten_doc(doc: object, prefix: str = "") -> Dict[str, object]:
     """Flatten nested dicts/lists to ``dotted.path -> leaf`` pairs."""
     flat: Dict[str, object] = {}
