@@ -2,7 +2,9 @@
 
 The core kernel :func:`coo_to_compressed` compresses sorted coordinates
 into (indptr, indices, data); both CSR and CSC construction and the
-CSR<->CSC transposing conversions reduce to it.
+CSR<->CSC transposing conversions reduce to it. Sorting and duplicate
+summing live in :func:`sum_duplicates`, shared with
+:meth:`~repro.formats.coo.COOMatrix.deduplicate`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,42 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.formats.csr import CSRMatrix
 
 
+def sum_duplicates(
+    major: np.ndarray,
+    minor: np.ndarray,
+    vals: np.ndarray,
+    n_minor: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort coordinates major-first and sum duplicate entries.
+
+    Input whose keys ``major * n_minor + minor`` already increase
+    strictly is canonical and comes back as the same arrays. Otherwise
+    a stable argsort of the keys yields the permutation of
+    ``np.lexsort((minor, major))``, and when duplicates exist every run
+    of equal keys is folded in that order, from zero. float64 folds
+    through ``np.bincount``: the same in-order left fold from 0.0 as
+    ``np.add.at`` into a zero-filled array, so the same floats. Every
+    other dtype stays on ``np.add.at``, since ``bincount`` would widen
+    int, bool and float32 values to float64.
+    """
+    keys = major * n_minor + minor
+    if np.all(keys[1:] > keys[:-1]):
+        return major, minor, vals
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    major, minor, vals = major[order], minor[order], vals[order]
+    boundaries = np.concatenate(([True], keys[1:] != keys[:-1]))
+    if boundaries.all():
+        return major, minor, vals
+    group = np.cumsum(boundaries) - 1
+    if vals.dtype == np.float64:
+        summed = np.bincount(group, weights=vals)
+    else:
+        summed = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
+        np.add.at(summed, group, vals)
+    return major[boundaries], minor[boundaries], summed
+
+
 def coo_to_compressed(
     n_major: int,
     major: np.ndarray,
@@ -26,21 +64,15 @@ def coo_to_compressed(
 
     Input need not be sorted or deduplicated; duplicates are summed.
     Returns ``(indptr, indices, data)`` with indices sorted within each
-    major slice.
+    major slice; already-canonical input shares its ``minor`` and
+    ``vals`` arrays with the result.
     """
     major = np.asarray(major, dtype=np.int64)
     minor = np.asarray(minor, dtype=np.int64)
     vals = np.asarray(vals)
-    order = np.lexsort((minor, major))
-    major, minor, vals = major[order], minor[order], vals[order]
-    if major.size:
-        keys_equal = (major[1:] == major[:-1]) & (minor[1:] == minor[:-1])
-        if keys_equal.any():
-            boundaries = np.concatenate(([True], ~keys_equal))
-            group = np.cumsum(boundaries) - 1
-            summed = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
-            np.add.at(summed, group, vals)
-            major, minor, vals = major[boundaries], minor[boundaries], summed
+    # Any bound above the largest minor index orders the keys the same.
+    n_minor = int(minor.max()) + 1 if minor.size else 1
+    major, minor, vals = sum_duplicates(major, minor, vals, n_minor)
     counts = np.bincount(major, minlength=n_major)
     indptr = np.zeros(n_major + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

@@ -14,6 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import FormatError, ShapeError
+from repro.formats.convert import sum_duplicates
 
 
 class COOMatrix:
@@ -104,19 +105,9 @@ class COOMatrix:
     def deduplicate(self) -> "COOMatrix":
         """Return a copy with duplicates summed, sorted row-major, and
         explicit zeros removed."""
-        if self.nnz == 0:
-            return COOMatrix(self.shape, self.rows, self.cols, self.vals)
-        order = np.lexsort((self.cols, self.rows))
-        rows, cols, vals = self.rows[order], self.cols[order], self.vals[order]
-        keys = rows * self.ncols + cols
-        boundaries = np.concatenate(([True], keys[1:] != keys[:-1]))
-        group = np.cumsum(boundaries) - 1
-        summed = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
-        np.add.at(summed, group, vals)
-        urows = rows[boundaries]
-        ucols = cols[boundaries]
-        keep = summed != 0
-        return COOMatrix(self.shape, urows[keep], ucols[keep], summed[keep])
+        rows, cols, vals = sum_duplicates(self.rows, self.cols, self.vals, self.ncols)
+        keep = vals != 0
+        return COOMatrix(self.shape, rows[keep], cols[keep], vals[keep])
 
     def transpose(self) -> "COOMatrix":
         """Return the transposed matrix (swaps coordinate arrays)."""

@@ -3,6 +3,11 @@
 Holds the canonical COO form and lazily materializes CSR (row access,
 IS stage / ``mxv``) and CSC (column access, OS stage / ``vxm``) images —
 the host-side mirror of Sparsepipe's dual sparse storage.
+
+The matrix never changes across solver iterations, so its structure is
+derived once and reused by every contraction: the per-entry row and
+column segment ids are cached next to the two images, read-only, the
+way Sparsepipe streams the loop-invariant index arrays once.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ class Matrix:
         self._coo = coo.deduplicate()
         self._csr: Optional[CSRMatrix] = None
         self._csc: Optional[CSCMatrix] = None
+        self._row_ids: Optional[np.ndarray] = None
+        self._col_ids: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -84,6 +91,23 @@ class Matrix:
             self._csc = CSCMatrix.from_coo(self._coo)
         return self._csc
 
+    @property
+    def row_ids(self) -> np.ndarray:
+        """Row of each CSR entry — the sorted segment ids of ``mxv``.
+        Built on first use and read-only, since every later contraction
+        on this matrix shares it."""
+        if self._row_ids is None:
+            self._row_ids = _segment_ids(self.csr.row_nnz())
+        return self._row_ids
+
+    @property
+    def col_ids(self) -> np.ndarray:
+        """Column of each CSC entry — the sorted segment ids of ``vxm``;
+        built once and read-only, like :attr:`row_ids`."""
+        if self._col_ids is None:
+            self._col_ids = _segment_ids(self.csc.col_nnz())
+        return self._col_ids
+
     def to_dense(self) -> np.ndarray:
         return self._coo.to_dense()
 
@@ -100,3 +124,10 @@ class Matrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Matrix(shape={self.shape}, nnz={self.nnz})"
+
+
+def _segment_ids(counts: np.ndarray) -> np.ndarray:
+    """``i`` repeated ``counts[i]`` times, as a read-only array."""
+    ids = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    ids.flags.writeable = False
+    return ids

@@ -10,7 +10,7 @@ the CSR image (IS orientation); both compute the same contraction.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -88,6 +88,43 @@ def _finalize(
 # ----------------------------------------------------------------------
 # Matrix-vector contractions
 # ----------------------------------------------------------------------
+def _contract(
+    v: Vector,
+    compressed,
+    segment_ids: np.ndarray,
+    semiring: Semiring,
+    kernel: str,
+    vector_first: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduce, per major slice of ``compressed``, the products of its
+    entries with the stored ``v`` entries they meet: ``(raw_values,
+    raw_present)`` before mask and accumulator.
+
+    A fully stored ``v`` (every solver iteration) meets every entry, so
+    the entry filter is skipped: it would keep the same entries in the
+    same order, hence the same products and the same fold, and the
+    slices that receive a product are exactly the non-empty ones.
+    """
+    minor, data = compressed.indices, compressed.data
+    if v.present.all():
+        raw_present = compressed.major_nnz() > 0
+    else:
+        contributes = v.present[minor]
+        minor = minor[contributes]
+        segment_ids = segment_ids[contributes]
+        data = data[contributes]
+        raw_present = np.zeros(compressed.n_major, dtype=bool)
+        raw_present[segment_ids] = True
+    operand = v.values[minor]
+    products = (
+        semiring.mul(operand, data) if vector_first else semiring.mul(data, operand)
+    )
+    raw_values = _segment_reduce(
+        semiring.add, products, segment_ids, compressed.n_major, kernel
+    )
+    return raw_values, raw_present
+
+
 def vxm(
     v: Vector,
     a: Matrix,
@@ -101,15 +138,9 @@ def vxm(
     products of stored ``v[i]`` with stored ``A[i, j]`` down column ``j``."""
     if v.size != a.nrows:
         raise ShapeError(f"vector size {v.size} does not match nrows {a.nrows}")
-    csc = a.csc
-    col_ids = np.repeat(np.arange(a.ncols, dtype=np.int64), csc.col_nnz())
-    contributes = v.present[csc.indices]
-    rows = csc.indices[contributes]
-    cols = col_ids[contributes]
-    products = semiring.mul(v.values[rows], csc.data[contributes])
-    raw_values = _segment_reduce(semiring.add, products, cols, a.ncols, kernel)
-    raw_present = np.zeros(a.ncols, dtype=bool)
-    raw_present[cols] = True
+    raw_values, raw_present = _contract(
+        v, a.csc, a.col_ids, semiring, kernel, vector_first=True
+    )
     return _finalize(raw_values, raw_present, mask, accum, out)
 
 
@@ -125,15 +156,9 @@ def mxv(
     """``w = A v`` over ``semiring`` — the row-oriented dual of :func:`vxm`."""
     if v.size != a.ncols:
         raise ShapeError(f"vector size {v.size} does not match ncols {a.ncols}")
-    csr = a.csr
-    row_ids = np.repeat(np.arange(a.nrows, dtype=np.int64), csr.row_nnz())
-    contributes = v.present[csr.indices]
-    cols = csr.indices[contributes]
-    rows = row_ids[contributes]
-    products = semiring.mul(csr.data[contributes], v.values[cols])
-    raw_values = _segment_reduce(semiring.add, products, rows, a.nrows, kernel)
-    raw_present = np.zeros(a.nrows, dtype=bool)
-    raw_present[rows] = True
+    raw_values, raw_present = _contract(
+        v, a.csr, a.row_ids, semiring, kernel, vector_first=False
+    )
     return _finalize(raw_values, raw_present, mask, accum, out)
 
 
@@ -143,7 +168,7 @@ def mxm(a: Matrix, b: Matrix, semiring: Semiring = MUL_ADD) -> Matrix:
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.ncols} vs {b.nrows}")
     a_csr, b_csr = a.csr, b.csr
-    i_ids = np.repeat(np.arange(a.nrows, dtype=np.int64), a_csr.row_nnz())
+    i_ids = a.row_ids
     k_ids = a_csr.indices
     counts = (b_csr.indptr[k_ids + 1] - b_csr.indptr[k_ids]).astype(np.int64)
     total = int(counts.sum())
@@ -182,12 +207,11 @@ def mxm_dense(a: Matrix, b: np.ndarray, semiring: Semiring = MUL_ADD) -> np.ndar
             f"mxm_dense needs a ufunc-backed add monoid, got {semiring.add.name}"
         )
     csr = a.csr
-    rows = np.repeat(np.arange(a.nrows, dtype=np.int64), csr.row_nnz())
     products = semiring.mul(csr.data[:, None], b[csr.indices])
     out = np.full((a.nrows, b.shape[1]), semiring.zero, dtype=np.float64)
-    # rows is sorted (a repeat of arange) and out is identity-filled,
-    # which is exactly the specialized dense kernel's contract.
-    kernels.dense_update(semiring.add, out, rows, products)
+    # row_ids is sorted and out is identity-filled, which is exactly the
+    # specialized dense kernel's contract.
+    kernels.dense_update(semiring.add, out, a.row_ids, products)
     return out
 
 

@@ -41,25 +41,30 @@ def vanilla_reorder(coo: COOMatrix) -> np.ndarray:
     n = coo.nrows
     adj = _symmetrized_csr(coo)
     degree = adj.row_nnz()
+    # Plain-list row bounds: one Python index per visit instead of a
+    # bounds-checked slice call (the loop visits every vertex once).
+    indptr = adj.indptr.tolist()
+    indices = adj.indices
     visited = np.zeros(n, dtype=bool)
     order: List[int] = []
 
     # Min-degree start vertex per connected component (classic CM).
     by_degree = np.argsort(degree, kind="stable")
-    for start in by_degree:
+    for start in by_degree.tolist():
         if visited[start]:
             continue
         visited[start] = True
-        queue = deque([int(start)])
+        queue = deque([start])
         while queue:
             u = queue.popleft()
             order.append(u)
-            neighbors, _ = adj.row(u)
+            neighbors = indices[indptr[u]:indptr[u + 1]]
             fresh = neighbors[~visited[neighbors]]
             if fresh.size:
                 visited[fresh] = True
-                fresh = fresh[np.argsort(degree[fresh], kind="stable")]
-                queue.extend(int(v) for v in fresh)
+                if fresh.size > 1:
+                    fresh = fresh[np.argsort(degree[fresh], kind="stable")]
+                queue.extend(fresh.tolist())
 
     perm = np.empty(n, dtype=np.int64)
     perm[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)

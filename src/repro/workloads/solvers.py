@@ -39,8 +39,8 @@ def spd_system(matrix: Matrix) -> Matrix:
     cols = np.concatenate((coo.cols, coo.rows))
     vals = np.concatenate((coo.vals, coo.vals)) * -0.5
     sym = COOMatrix((n, n), rows, cols, vals).deduplicate()
-    degree = np.zeros(n)
-    np.add.at(degree, sym.rows, -sym.vals)
+    # bincount: the in-order fold from 0.0 np.add.at does into zeros(n).
+    degree = np.bincount(sym.rows, weights=-sym.vals, minlength=n)
     diag = np.arange(n)
     full = COOMatrix(
         (n, n),

@@ -84,6 +84,44 @@ def coo_matrices(draw, max_n: int = 48, allow_empty: bool = True):
     return COOMatrix.from_dense(dense)
 
 
+#: Float values the duplicate-summing fast paths must fold exactly like
+#: ``np.add.at``: signed zeros, quiet NaNs of both signs, infinities.
+EDGE_FLOATS = (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5)
+
+#: Value dtypes of :func:`raw_coo`: float64 takes the ``bincount``
+#: fold, the others must stay on ``np.add.at``.
+COO_DTYPES = ("float64", "float32", "int64", "bool")
+
+
+@st.composite
+def raw_coo(draw, max_n: int = 12, max_nnz: int = 40):
+    """Unnormalized COO input as ``(shape, rows, cols, vals)``.
+
+    Covers what :meth:`COOMatrix.deduplicate` and
+    :func:`coo_to_compressed` must survive: empty input, duplicate
+    coordinates, explicit zeros, ``-0.0``, NaN, and input that is
+    already canonical (strictly increasing row-major keys) next to
+    shuffled input, over float64, float32, int64 and bool values.
+    """
+    nrows = draw(st.integers(1, max_n))
+    ncols = draw(st.integers(1, max_n))
+    dtype = draw(st.sampled_from(COO_DTYPES))
+    coords = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    pairs = draw(st.lists(coords, max_size=max_nnz))
+    if draw(st.booleans()):
+        pairs = sorted(set(pairs))  # canonical: sorted, no duplicates
+    if dtype == "bool":
+        values = st.booleans()
+    elif dtype == "int64":
+        values = st.integers(-3, 3)
+    else:
+        values = st.one_of(st.sampled_from(EDGE_FLOATS), finite)
+    vals = np.array([draw(values) for _ in pairs], dtype=dtype)
+    rows = np.array([r for r, _ in pairs], dtype=np.int64)
+    cols = np.array([c for _, c in pairs], dtype=np.int64)
+    return (nrows, ncols), rows, cols, vals
+
+
 @st.composite
 def random_programs(draw):
     """A random straight-line e-wise program of 1-4 instructions."""

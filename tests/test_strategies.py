@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from repro.dataflow.program import OEIProgram
 from repro.semiring import MONOIDS, SEMIRINGS
 from tests.strategies import (
+    COO_DTYPES,
     SAFE_BINARY,
     SAFE_SEMIRINGS,
     booleans,
@@ -14,6 +15,7 @@ from tests.strategies import (
     finite_lists,
     monoid_names,
     random_programs,
+    raw_coo,
     seeds,
     subtensor_widths,
 )
@@ -98,3 +100,15 @@ def test_random_programs_are_well_formed(program, _flag):
     # Aux/scalar declarations match actual operand usage flags.
     assert set(program.aux_vectors) <= {"a0"}
     assert set(program.scalar_names) <= {"s0"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_coo(max_n=5, max_nnz=10))
+def test_raw_coo_is_in_range_and_aligned(entry):
+    (nrows, ncols), rows, cols, vals = entry
+    assert rows.shape == cols.shape == vals.shape
+    assert vals.dtype.name in COO_DTYPES
+    assert rows.size <= 10
+    if rows.size:
+        assert 0 <= rows.min() and rows.max() < nrows
+        assert 0 <= cols.min() and cols.max() < ncols

@@ -1,0 +1,223 @@
+"""Differential tests for the structural-reuse fast paths.
+
+Each fast path is checked bit for bit against an inline copy of the
+general code it replaced:
+
+- :meth:`COOMatrix.deduplicate` and :func:`coo_to_compressed` against
+  ``np.lexsort`` + ``np.add.at`` (canonical-input skip, stable argsort,
+  ``bincount`` fold for float64, ``np.add.at`` for every other dtype);
+- dense-frontier ``mxv``/``vxm`` against the filtered contraction
+  rebuilt from per-call ``np.repeat`` segment ids, across the four paper
+  semirings, with and without mask and accumulator;
+- :func:`vanilla_reorder` against the per-row-slice Cuthill–McKee loop.
+
+Plus the guard on the cached segment ids: they are read-only, so a
+caller writing into one fails loudly instead of corrupting every later
+contraction on that matrix.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.formats.convert import coo_to_compressed
+from repro.formats.coo import COOMatrix
+from repro.graphblas.mask import Mask
+from repro.graphblas.matrix import Matrix
+from repro.graphblas.ops import _finalize, _segment_reduce, mxv, vxm
+from repro.graphblas.vector import Vector
+from repro.preprocess.vanilla_reorder import _symmetrized_csr, vanilla_reorder
+from repro.semiring import AND_OR, ARIL_ADD, MIN_ADD, MUL_ADD, PLUS
+from repro.testing import random_coo
+from tests.strategies import coo_matrices, raw_coo, seeds
+
+PAPER_SEMIRINGS = (MUL_ADD, AND_OR, MIN_ADD, ARIL_ADD)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Duplicate summing
+# ----------------------------------------------------------------------
+def _lexsort_fold(major, minor, vals, always_fold):
+    """The general path: lexsort, then ``np.add.at`` into zeros."""
+    order = np.lexsort((minor, major))
+    major, minor, vals = major[order], minor[order], vals[order]
+    if major.size == 0:
+        return major, minor, vals
+    same = (major[1:] == major[:-1]) & (minor[1:] == minor[:-1])
+    if not (always_fold or same.any()):
+        return major, minor, vals
+    boundaries = np.concatenate(([True], ~same))
+    group = np.cumsum(boundaries) - 1
+    summed = np.zeros(int(group[-1]) + 1, dtype=vals.dtype)
+    np.add.at(summed, group, vals)
+    return major[boundaries], minor[boundaries], summed
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_coo())
+def test_deduplicate_matches_lexsort_add_at(entry):
+    shape, rows, cols, vals = entry
+    ref_rows, ref_cols, ref_vals = _lexsort_fold(rows, cols, vals, always_fold=True)
+    keep = ref_vals != 0
+    out = COOMatrix(shape, rows, cols, vals).deduplicate()
+    assert _same_bits(out.rows, ref_rows[keep])
+    assert _same_bits(out.cols, ref_cols[keep])
+    assert _same_bits(out.vals, ref_vals[keep])
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_coo(), st.booleans())
+def test_coo_to_compressed_matches_lexsort_add_at(entry, by_columns):
+    (nrows, ncols), rows, cols, vals = entry
+    n_major, major, minor = (ncols, cols, rows) if by_columns else (nrows, rows, cols)
+    ref_major, ref_minor, ref_vals = _lexsort_fold(major, minor, vals, always_fold=False)
+    indptr, indices, data = coo_to_compressed(n_major, major, minor, vals)
+    ref_indptr = np.zeros(n_major + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ref_major, minlength=n_major), out=ref_indptr[1:])
+    assert _same_bits(indptr, ref_indptr)
+    assert _same_bits(indices, ref_minor)
+    assert _same_bits(data, ref_vals)
+
+
+@pytest.mark.parametrize("dtype", ["int64", "bool", "float32"])
+def test_non_float64_duplicates_keep_their_dtype(dtype):
+    """``bincount`` would widen these to float64; they stay on add.at."""
+    rows = np.array([1, 0, 1, 1])
+    cols = np.array([2, 0, 2, 2])
+    vals = np.array([1, 1, 0, 1], dtype=dtype)
+    out = COOMatrix((2, 3), rows, cols, vals).deduplicate()
+    assert out.vals.dtype == np.dtype(dtype)
+    _, _, data = coo_to_compressed(2, rows, cols, vals)
+    assert data.dtype == np.dtype(dtype)
+
+
+def test_signed_zero_and_nan_sums():
+    """-0.0 alone folds to +0.0 and is dropped; NaN propagates and stays."""
+    rows = np.array([0, 0, 1, 2, 2])
+    cols = np.array([0, 0, 1, 2, 2])
+    vals = np.array([-0.0, -0.0, np.nan, 1.0, -1.0])
+    out = COOMatrix((3, 3), rows, cols, vals).deduplicate()
+    assert out.rows.tolist() == [1] and np.isnan(out.vals[0])
+
+
+# ----------------------------------------------------------------------
+# Dense-frontier contractions
+# ----------------------------------------------------------------------
+def _filtered_vxm(v, a, semiring, mask, accum, out, kernel):
+    csc = a.csc
+    col_ids = np.repeat(np.arange(a.ncols, dtype=np.int64), csc.col_nnz())
+    contributes = v.present[csc.indices]
+    rows = csc.indices[contributes]
+    cols = col_ids[contributes]
+    products = semiring.mul(v.values[rows], csc.data[contributes])
+    raw_values = _segment_reduce(semiring.add, products, cols, a.ncols, kernel)
+    raw_present = np.zeros(a.ncols, dtype=bool)
+    raw_present[cols] = True
+    return _finalize(raw_values, raw_present, mask, accum, out)
+
+
+def _filtered_mxv(a, v, semiring, mask, accum, out, kernel):
+    csr = a.csr
+    row_ids = np.repeat(np.arange(a.nrows, dtype=np.int64), csr.row_nnz())
+    contributes = v.present[csr.indices]
+    cols = csr.indices[contributes]
+    rows = row_ids[contributes]
+    products = semiring.mul(csr.data[contributes], v.values[cols])
+    raw_values = _segment_reduce(semiring.add, products, rows, a.nrows, kernel)
+    raw_present = np.zeros(a.nrows, dtype=bool)
+    raw_present[rows] = True
+    return _finalize(raw_values, raw_present, mask, accum, out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    coo_matrices(max_n=24),
+    seeds,
+    st.sampled_from(PAPER_SEMIRINGS),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["batched", "reference"]),
+)
+def test_contractions_match_filtered_path(
+    coo, seed, semiring, dense_frontier, masked, accumulated, kernel
+):
+    a = Matrix(coo)
+    n = a.nrows
+    gen = np.random.default_rng(seed)
+    present = np.ones(n, dtype=bool) if dense_frontier else gen.random(n) < 0.5
+    v = Vector(n, gen.uniform(-2.0, 2.0, n), present)
+    mask = Mask(Vector(n, np.ones(n), gen.random(n) < 0.5)) if masked else None
+    accum = PLUS if accumulated else None
+    out = Vector(n, gen.uniform(-2.0, 2.0, n), gen.random(n) < 0.5)
+    kw = dict(mask=mask, accum=accum, out=out, kernel=kernel)
+    pairs = (
+        (vxm(v, a, semiring, **kw), _filtered_vxm(v, a, semiring, **kw)),
+        (mxv(a, v, semiring, **kw), _filtered_mxv(a, v, semiring, **kw)),
+    )
+    for fast, ref in pairs:
+        assert _same_bits(fast.present, ref.present)
+        assert _same_bits(fast.values, ref.values)
+
+
+# ----------------------------------------------------------------------
+# Cached segment ids
+# ----------------------------------------------------------------------
+def test_segment_ids_are_cached_and_read_only():
+    a = Matrix(random_coo(3))
+    expected_rows = np.repeat(np.arange(a.nrows), a.csr.row_nnz())
+    expected_cols = np.repeat(np.arange(a.ncols), a.csc.col_nnz())
+    before = mxv(a, Vector.dense(a.ncols, 1.0)).values.copy()
+    for name, expected in (("row_ids", expected_rows), ("col_ids", expected_cols)):
+        ids = getattr(a, name)
+        assert getattr(a, name) is ids  # built once
+        assert not ids.flags.writeable
+        with pytest.raises(ValueError):
+            ids[0] = 99
+        np.testing.assert_array_equal(ids, expected)
+    after = mxv(a, Vector.dense(a.ncols, 1.0)).values
+    assert _same_bits(before, after)
+
+
+# ----------------------------------------------------------------------
+# Vanilla reorder
+# ----------------------------------------------------------------------
+def _row_slice_reorder(coo):
+    """Cuthill–McKee through ``adj.row()`` calls, argsort on every visit."""
+    n = coo.nrows
+    adj = _symmetrized_csr(coo)
+    degree = adj.row_nnz()
+    visited = np.zeros(n, dtype=bool)
+    order = []
+    for start in np.argsort(degree, kind="stable"):
+        if visited[start]:
+            continue
+        visited[start] = True
+        queue = deque([int(start)])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            neighbors, _ = adj.row(u)
+            fresh = neighbors[~visited[neighbors]]
+            if fresh.size:
+                visited[fresh] = True
+                fresh = fresh[np.argsort(degree[fresh], kind="stable")]
+                queue.extend(int(v) for v in fresh)
+    perm = np.empty(n, dtype=np.int64)
+    perm[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
+    return perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(coo_matrices(max_n=40))
+def test_vanilla_reorder_matches_row_slice_loop(coo):
+    assert _same_bits(vanilla_reorder(coo), _row_slice_reorder(coo))
