@@ -16,13 +16,7 @@ Commands
 - ``sweep A/W/M [...]``         — supervised sweep over explicit
   (arch/workload/matrix) points with per-point status reporting
 - ``autotune -w pr -m gy``      — explore sub-tensor widths (Section
-  IV-F), optionally fanning the probes out over a scheduler backend
-- ``serve``                     — simulation-service daemon: async job
-  queue with request coalescing over the shared result store
-- ``client <op> [...]``         — talk to a running daemon (submit /
-  status / result / cancel / stats / shutdown); see docs/service.md
-- ``worker <jobfile>``          — execute one spool-scheduler job file
-  (spawned by the ``spool`` backend; docs/scheduling.md)
+  IV-F), optionally fanning the probes out over a process pool
 
 ``lint``/``selfcheck`` take ``--format text|json`` and ``--baseline
 FILE`` (a per-code finding budget; exceeding it fails the command even
@@ -31,8 +25,9 @@ for warnings, so new findings cannot accumulate silently — CI pins
 worker processes; ``--cache DIR`` persists simulation results on disk
 so reruns skip straight to the tables; ``--on-error skip|retry`` keeps
 a sweep alive through per-point failures (recorded in run manifests —
-docs/robustness.md); ``--scheduler inprocess|localpool|spool`` picks
-the execution substrate the fan-out runs on (docs/scheduling.md).
+docs/robustness.md); ``--scheduler inprocess|localpool`` picks the
+execution substrate the fan-out runs on — serial in this process, or a
+local process pool (docs/scheduling.md).
 """
 
 from __future__ import annotations
@@ -370,95 +365,6 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Spool-scheduler worker: execute one job file and write its
-    verdict beside it (spawned by the spool backend, not by hand)."""
-    from repro.scheduler.spool import run_worker
-
-    return run_worker(args.job_file)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.service.daemon import run_daemon
-
-    def announce(daemon) -> None:
-        # The readiness line CI (and scripts) wait for; flushed so a
-        # piped supervisor sees it immediately.
-        print(f"repro-service listening on {daemon.host}:{daemon.port}",
-              flush=True)
-        if daemon.endpoint_file:
-            print(f"endpoint advertised in {daemon.endpoint_file}",
-                  flush=True)
-
-    try:
-        asyncio.run(run_daemon(
-            context=_make_context(args),
-            spool_dir=args.spool,
-            host=args.host,
-            port=args.port,
-            endpoint_file=args.endpoint_file,
-            sim_workers=args.jobs,
-            on_error=args.on_error if args.on_error != "raise" else "retry",
-            scheduler=args.scheduler,
-            announce=announce,
-        ))
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _cmd_client(args: argparse.Namespace) -> int:
-    from repro.errors import ServiceError
-    from repro.service.client import ServiceClient, endpoint_from_file
-
-    host, port = args.host, args.port
-    if args.endpoint_file:
-        host, port = endpoint_from_file(args.endpoint_file)
-    client = ServiceClient(host=host, port=port, timeout_s=args.timeout)
-
-    def show(doc) -> None:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-
-    try:
-        op = args.client_op
-        if op == "submit":
-            job_ids = [
-                client.submit(point.split("/"), priority=args.priority)
-                for point in args.points
-            ]
-            for job_id in job_ids:
-                print(job_id)
-            if args.wait:
-                failed = 0
-                for doc in client.wait_all(job_ids, timeout_s=args.timeout):
-                    failed += doc["status"] != "done"
-                    show(doc if args.full else
-                         {k: v for k, v in doc.items() if k != "result"})
-                return 1 if failed else 0
-        elif op == "status":
-            show(client.status(args.job_id))
-        elif op == "result":
-            doc = client.result(args.job_id, timeout_s=args.timeout)
-            show(doc if args.full else
-                 {k: v for k, v in doc.items() if k != "result"})
-            return 0 if doc["status"] == "done" else 1
-        elif op == "cancel":
-            cancelled = client.cancel(args.job_id)
-            print("cancelled" if cancelled else "not cancellable")
-            return 0 if cancelled else 1
-        elif op == "stats":
-            show(client.stats())
-        elif op == "shutdown":
-            client.shutdown()
-            print("daemon stopping")
-    except ServiceError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_summary(args: argparse.Namespace) -> int:
     from repro.experiments import summary
 
@@ -507,11 +413,10 @@ def _add_context_flags(parser: argparse.ArgumentParser) -> None:
              "re-attempts, then skip); see docs/robustness.md",
     )
     parser.add_argument(
-        "--scheduler", choices=("inprocess", "localpool", "spool"),
+        "--scheduler", choices=("inprocess", "localpool"),
         default=None,
         help="execution backend for sweep fan-outs: inprocess (serial, "
-             "deterministic), localpool (process pool), or spool "
-             "(subprocess-per-job over a spool directory); default: "
+             "deterministic) or localpool (process pool); default: "
              "pool when --jobs > 1, serial otherwise (docs/scheduling.md)",
     )
 
@@ -616,62 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: 2)")
     _add_context_flags(p_at)
 
-    p_wk = sub.add_parser(
-        "worker", help="execute one spool-scheduler job file"
-    )
-    p_wk.add_argument("job_file", help="path to a <job_id>.job file")
-
-    p_srv = sub.add_parser(
-        "serve", help="simulation-service daemon (docs/service.md)"
-    )
-    p_srv.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    p_srv.add_argument("--port", type=int, default=0,
-                       help="TCP port; 0 picks a free one (default: 0)")
-    p_srv.add_argument(
-        "--spool", default=None, metavar="DIR",
-        help="journal jobs under DIR for crash recovery; a restarted "
-             "daemon re-enqueues whatever never finished",
-    )
-    p_srv.add_argument(
-        "--endpoint-file", default=None, metavar="FILE",
-        dest="endpoint_file",
-        help="advertise the bound host/port in FILE (how scripts "
-             "discover a --port 0 daemon)",
-    )
-    _add_context_flags(p_srv)
-
-    p_cl = sub.add_parser(
-        "client", help="talk to a running simulation-service daemon"
-    )
-    p_cl.add_argument("--host", default="127.0.0.1")
-    p_cl.add_argument("--port", type=int, default=0)
-    p_cl.add_argument(
-        "--endpoint-file", default=None, metavar="FILE",
-        dest="endpoint_file",
-        help="read host/port from a daemon's --endpoint-file",
-    )
-    p_cl.add_argument("--timeout", type=float, default=300.0,
-                      help="per-request budget in seconds (default: 300)")
-    cl_sub = p_cl.add_subparsers(dest="client_op", required=True)
-    p_cs = cl_sub.add_parser("submit", help="submit arch/workload/matrix points")
-    p_cs.add_argument("points", nargs="+", metavar="ARCH/WORKLOAD/MATRIX",
-                      help="e.g. sparsepipe/pr/gy")
-    p_cs.add_argument("--priority", type=int, default=0)
-    p_cs.add_argument("--wait", action="store_true",
-                      help="block until every job is terminal")
-    p_cs.add_argument("--full", action="store_true",
-                      help="with --wait, include result payloads")
-    for op, needs_id in (("status", True), ("result", True),
-                         ("cancel", True), ("stats", False),
-                         ("shutdown", False)):
-        p_op = cl_sub.add_parser(op)
-        if needs_id:
-            p_op.add_argument("job_id")
-        if op == "result":
-            p_op.add_argument("--full", action="store_true",
-                              help="include the result payload")
-
     p_sum = sub.add_parser(
         "summary", help="all Section VI headline claims, paper vs measured"
     )
@@ -697,9 +546,6 @@ def main(argv: List[str] = None) -> int:
         "trace": _cmd_trace,
         "sweep": _cmd_sweep,
         "autotune": _cmd_autotune,
-        "worker": _cmd_worker,
-        "serve": _cmd_serve,
-        "client": _cmd_client,
         "summary": _cmd_summary,
         "export": _cmd_export,
     }

@@ -224,7 +224,7 @@ for _s in (
               "is not registered observable=True; it has no event "
               "stream to attach to — silent downgrades are forbidden, "
               "so the request raises instead"),
-        # ---- SP91x: concurrency safety (service arc) --------------------
+        # ---- SP91x: concurrency safety (sweep execution) ---------------
         _spec("SP911", "pool-captured-global", Severity.ERROR,
               "mutable module-global state mutated outside a worker "
               "initializer is silently stale in pool workers (fork) "

@@ -36,7 +36,7 @@ prefixes it opts into — adding a rule never adds another tree walk.
   class). Pins belong to tests and benchmarks, which live outside the
   package tree this lint walks.
 
-The **SP91x concurrency-safety family** targets the service arc
+The **SP91x concurrency-safety family** targets sweep execution
 (pools, caches, supervisors):
 
 - **SP911** — mutable module-global state (``global`` statements) in
@@ -50,15 +50,15 @@ The **SP91x concurrency-safety family** targets the service arc
   that writes a file but never renames one can expose a torn file to
   a concurrent reader. (``resilience/faults.py`` is exempt — its
   chaos hooks corrupt files *by design*.)
-- **SP913** — supervisor code (``resilience/``, ``engine/parallel``,
-  ``service/``, ``scheduler/``) must not block unboundedly:
-  ``time.sleep`` polling and no-timeout ``Future.result()`` calls can
-  hang an entire sweep behind one dead worker.
+- **SP913** — supervisor code (``resilience/``, ``scheduler/``) must
+  not block unboundedly: ``time.sleep`` polling and no-timeout
+  ``Future.result()`` calls can hang an entire sweep behind one dead
+  worker.
 - **SP914** — ``ProcessPoolExecutor`` is an execution substrate and
   belongs behind the scheduler protocol: only the ``localpool``
-  backend (``scheduler/localpool.py``) may name it. ``supervised_map``
-  / ``simulate_many`` / ``JobQueue`` stay backend-agnostic — code that
-  wants a pool goes through :mod:`repro.scheduler`.
+  backend (``scheduler/localpool.py``) may name it. ``simulate_many``
+  and ``autotune`` stay backend-agnostic — code that wants a pool goes
+  through :mod:`repro.scheduler`.
 
 Run it with ``python -m repro selfcheck`` (wired into CI's lint job).
 """
@@ -86,8 +86,7 @@ REFERENCE_BACKEND = "arch/simulator.py"
 
 #: Packages whose module-global state ends up captured in pool workers
 #: (SP911) and whose files are read concurrently (SP912).
-SERVICE_ARC_PACKAGES = ("engine", "resilience", "experiments", "service",
-                        "scheduler")
+SERVICE_ARC_PACKAGES = ("engine", "resilience", "experiments", "scheduler")
 
 #: Function-name markers that identify sanctioned global mutators:
 #: pool initializers (``_init_worker_context``), arming/disarming hooks
@@ -96,8 +95,7 @@ SERVICE_ARC_PACKAGES = ("engine", "resilience", "experiments", "service",
 INITIALIZER_MARKERS = ("init", "worker", "install", "ensure", "boot")
 
 #: Supervisor-side modules that must never block unboundedly (SP913).
-SUPERVISOR_PATHS = ("resilience/", "engine/parallel.py", "service/",
-                    "scheduler/")
+SUPERVISOR_PATHS = ("resilience/", "scheduler/")
 
 #: The one module allowed to name ProcessPoolExecutor — the pool
 #: substrate behind the scheduler protocol (SP914).
@@ -483,7 +481,7 @@ PASSES: Tuple[SelfCheckPass, ...] = (
     SelfCheckPass("SP911", "pool-captured-global", _check_pool_globals,
                   include=tuple(f"{p}/" for p in SERVICE_ARC_PACKAGES)),
     SelfCheckPass("SP912", "non-atomic-cache-write", _check_atomic_writes,
-                  include=("engine/", "resilience/", "service/"),
+                  include=("engine/", "resilience/"),
                   exclude=("resilience/faults.py",)),
     SelfCheckPass("SP913", "blocking-supervisor-wait", _check_blocking_waits,
                   include=SUPERVISOR_PATHS),

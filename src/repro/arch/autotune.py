@@ -86,22 +86,27 @@ def _probe_cycles(
     if scheduler is None:
         _init_probe_worker(arch, config, probe_profile, matrix, paper_nnz)
         return [_probe_width(width) for width in widths]
-    from repro.resilience.supervisor import supervised_map
+    from repro.scheduler import create_scheduler, run_fanout
 
-    outcome = supervised_map(
-        _probe_width, widths,
+    sched = create_scheduler(
+        scheduler,
         max_workers=max_workers,
         initializer=_init_probe_worker,
         initargs=(arch, config, probe_profile, matrix, paper_nnz),
-        labels=[f"width={w}" for w in widths],
-        scheduler=scheduler,
     )
+    try:
+        outcome = run_fanout(
+            sched, _probe_width, widths,
+            labels=[f"width={w}" for w in widths],
+        )
+    finally:
+        sched.shutdown()
     return outcome.results
 
 
 # ----------------------------------------------------------------------
-# Probe worker side (module-level: must be picklable for distributed
-# scheduler backends)
+# Probe worker side (module-level: must be picklable for the pool
+# backend)
 # ----------------------------------------------------------------------
 _PROBE_STATE: Optional[Tuple] = None
 

@@ -10,11 +10,9 @@ of the individual models and drivers:
   simulator events (step / transfer / evict / repack / prefetch) with
   a zero-observer fast path,
 - :mod:`repro.engine.cache` — the persistent on-disk result cache
-  keyed by content (config hash + code version), and
-- :mod:`repro.engine.parallel` — order-preserving process-pool fan-out
-  behind ``ExperimentContext.simulate_many``; its supervised sibling
-  (retries, watchdog, broken-pool degradation) lives in
-  :mod:`repro.resilience.supervisor`.
+  keyed by content (config hash + code version).
+
+Sweep fan-out lives in :mod:`repro.scheduler`.
 """
 
 from repro.engine.cache import CODE_VERSION, CacheEntry, ResultCache
@@ -27,7 +25,6 @@ from repro.engine.instrumentation import (
     Observer,
     StepTraceObserver,
 )
-from repro.engine.parallel import parallel_map, pool_chunksize, serial_map
 from repro.engine.registry import (
     ArchSpec,
     Engine,
@@ -53,8 +50,5 @@ __all__ = [
     "arch_names",
     "create_engine",
     "get_arch",
-    "parallel_map",
-    "pool_chunksize",
     "register_arch",
-    "serial_map",
 ]

@@ -11,9 +11,8 @@ content hash, never ``id()``) and ``code_version`` is this module's
 :data:`CODE_VERSION` — bump it whenever simulator semantics change and
 every stale entry misses.
 
-The store is the service arc's shared substrate (``repro.service``
-fans every client out onto one warm store), so it is built for
-concurrent access:
+One store may be shared by concurrent sweeps and pool workers, so it
+is built for concurrent access:
 
 - **Sharding** — entries live under ``shard-NN/`` directories chosen
   by the key digest's prefix (:data:`DEFAULT_SHARDS` shards by
@@ -75,8 +74,8 @@ _TMP_COUNTER = itertools.count()
 CODE_VERSION = "1"
 
 #: Default shard count: 16 shards keep per-shard lock contention
-#: negligible for the worker fleets the service runs while staying a
-#: trivial number of directories to scan.
+#: negligible for a pool of sweep workers while staying a trivial
+#: number of directories to scan.
 DEFAULT_SHARDS = 16
 
 

@@ -138,7 +138,7 @@ class ConvergenceError(ReproError, RuntimeError):
 
 class WatchdogTimeout(ReproError, TimeoutError):
     """A supervised sweep item exceeded its per-item watchdog budget
-    (:mod:`repro.resilience.supervisor`)."""
+    (:func:`repro.scheduler.run_fanout`)."""
 
 
 class InjectedFault(ReproError, RuntimeError):
@@ -146,9 +146,3 @@ class InjectedFault(ReproError, RuntimeError):
     fired at an instrumented site. Never raised in production runs —
     only while a :class:`~repro.resilience.faults.FaultPlan` is
     active."""
-
-
-class ServiceError(ReproError, RuntimeError):
-    """A simulation-service request was invalid or could not be served
-    (:mod:`repro.service`): unknown job id, malformed submission, a
-    protocol error, or an error response from the daemon."""

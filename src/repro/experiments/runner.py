@@ -41,15 +41,16 @@ from repro.arch.stats import SimResult
 from repro.engine.cache import ResultCache
 from repro.engine.instrumentation import DiagnosticsObserver
 from repro.engine.registry import arch_names, get_arch, run_engine
-from repro.errors import Diagnostic
+from repro.errors import ConfigError, Diagnostic
 from repro.resilience.faults import maybe_die
-from repro.resilience.supervisor import (
+from repro.scheduler import (
     DEFAULT_RETRIES,
     POLICIES,
     FanoutOutcome,
-    supervised_map,
+    create_scheduler,
+    run_fanout,
+    scheduler_class,
 )
-from repro.scheduler.base import is_distributed
 from repro.graphblas.matrix import Matrix
 from repro.matrices.suite import SUITE, load_suite_matrix, suite_names
 from repro.obs.manifest import RunManifest, Stopwatch, build_manifest
@@ -107,19 +108,17 @@ class ExperimentContext:
     retries: int = DEFAULT_RETRIES
     timeout_s: Optional[float] = None
     #: Scheduler backend name for :meth:`simulate_many` fan-outs
-    #: (``"inprocess"`` | ``"localpool"`` | ``"spool"``); ``None``
-    #: keeps the historical heuristic — a local pool when both
-    #: ``max_workers`` and the missing-point count exceed one.
+    #: (``"inprocess"`` | ``"localpool"``); ``None`` picks a local
+    #: pool when both ``max_workers`` and the missing-point count
+    #: exceed one, in-process otherwise.
     scheduler: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.on_error not in POLICIES:
-            from repro.errors import ConfigError
-
             raise ConfigError(
                 f"on_error must be one of {POLICIES}, got {self.on_error!r}")
         if self.scheduler is not None:
-            is_distributed(self.scheduler)  # ConfigError on unknown names
+            scheduler_class(self.scheduler)  # ConfigError on unknown names
         self._preps: Dict[Tuple, PreprocessResult] = {}
         self._graphblas: Dict[str, Matrix] = {}
         self._profiles: Dict[Tuple[str, str], WorkloadProfile] = {}
@@ -222,30 +221,6 @@ class ExperimentContext:
             arch, workload_name, matrix_name,
             cfg.cache_key(), reorder, block_size,
         )
-
-    def point_key(
-        self,
-        point: Point,
-        config: Optional[SparsepipeConfig] = None,
-        reorder: Optional[str] = "default",
-        block_size: object = "default",
-    ) -> Tuple:
-        """Public content key for one ``(arch, workload, matrix)``
-        point under this context's configuration — the coalescing key
-        of the service layer (:mod:`repro.service`): two submissions
-        with equal keys are the same simulation."""
-        cfg = config or self.config
-        reorder, block_size = self._resolve(reorder, block_size)
-        arch, workload, matrix = point
-        return self._result_key(arch, workload, matrix, cfg, reorder, block_size)
-
-    def result_for(self, key: Tuple) -> Optional[SimResult]:
-        """Result already held in the in-memory layer for one
-        :meth:`point_key`, ``None`` when the point has not been
-        simulated (or cache-served) by this context yet. Never touches
-        disk — the service layer uses this as its zero-cost fast path
-        and for fanning a finished batch out to coalesced waiters."""
-        return self._results.get(key)
 
     def _resolve(self, reorder, block_size):
         if reorder == "default":
@@ -401,19 +376,18 @@ class ExperimentContext:
         point's result slot, so partial sweeps are first-class.
 
         ``scheduler`` (default: the context's) picks the execution
-        substrate by backend name — ``"inprocess"``, ``"localpool"``,
-        or ``"spool"`` (``docs/scheduling.md``); ``None`` keeps the
-        historical heuristic. The policy layer, fault semantics, and
-        results are identical on every backend; ``scheduler.*``
-        counters land in :attr:`metrics` either way.
+        substrate by backend name — ``"inprocess"`` or ``"localpool"``
+        (``docs/scheduling.md``); ``None`` picks a local pool when both
+        the worker count and the missing-point count exceed one. The
+        policy layer, fault semantics, and results are identical on
+        both backends; ``scheduler.*`` counters land in :attr:`metrics`
+        either way.
         """
         points = [tuple(p) for p in points]
         for arch, _, _ in points:
             get_arch(arch)
         policy = self.on_error if on_error is None else on_error
         if policy not in POLICIES:
-            from repro.errors import ConfigError
-
             raise ConfigError(
                 f"on_error must be one of {POLICIES}, got {policy!r}")
         cfg = config or self.config
@@ -444,43 +418,42 @@ class ExperimentContext:
         if missing:
             backend = self.scheduler if scheduler is None else scheduler
             workers = self.max_workers if max_workers is None else max_workers
-            distributed = (
-                is_distributed(backend) if backend is not None
-                else workers is not None and workers > 1 and len(missing) > 1
-            )
-            if distributed:
+            if backend is None:
+                pooled = (workers is not None and workers > 1
+                          and len(missing) > 1)
+                backend = "localpool" if pooled else "inprocess"
+            if backend == "localpool":
                 # Group by matrix so per-worker chunks reuse the
                 # materialized matrix, profile, and preprocessing.
                 ordered = sorted(missing, key=lambda p: (p[2], p[1], p[0]))
-                outcome = supervised_map(
-                    _simulate_one_point,
-                    ordered,
+                fn = _simulate_one_point
+                sched = create_scheduler(
+                    backend,
                     max_workers=workers,
                     initializer=_init_worker_context,
                     initargs=(cfg, reorder, block_size),
-                    on_error=policy,
-                    retries=self.retries,
                     timeout_s=self.timeout_s,
-                    labels=["/".join(p) for p in ordered],
-                    scheduler=backend,
-                    metrics=self.metrics,
                 )
             else:
                 ordered = missing
-                outcome = supervised_map(
-                    lambda p: self.simulate(
+
+                def fn(p: Point) -> SimResult:
+                    return self.simulate(
                         p[0], p[1], p[2],
                         config=cfg, reorder=reorder, block_size=block_size,
-                    ),
-                    ordered,
-                    max_workers=1,
+                    )
+
+                sched = create_scheduler(backend, timeout_s=self.timeout_s)
+            try:
+                outcome = run_fanout(
+                    sched, fn, ordered,
                     on_error=policy,
                     retries=self.retries,
-                    timeout_s=self.timeout_s,
                     labels=["/".join(p) for p in ordered],
-                    scheduler="inprocess" if backend is not None else None,
                     metrics=self.metrics,
                 )
+            finally:
+                sched.shutdown()
             self._absorb_outcome(outcome, ordered, cfg, reorder, block_size)
         return [self._results.get(key) for key in keys]
 
@@ -587,6 +560,8 @@ def _init_worker_context(
 def _simulate_one_point(point: Point) -> SimResult:
     arch, workload, matrix = point
     # Chaos-test site: no-op unless a FaultPlan with a worker_death
-    # fault is active AND this process is a marked pool worker.
+    # fault is active AND this process is a marked pool worker. The
+    # site name is hashed by should_fire; renaming it would change
+    # which faults seeded plans fire.
     maybe_die("parallel.worker", "/".join(point))
     return _WORKER_CONTEXT.simulate(arch, workload, matrix)

@@ -69,11 +69,6 @@ class RunManifest:
     git_rev: Optional[str] = None
     wall_time_s: Optional[float] = None
     from_cache: bool = False
-    #: True when this result was served by coalescing the request onto
-    #: another identical in-flight submission (:mod:`repro.service`) —
-    #: the simulation ran once and fanned out to every waiter. Like
-    #: ``from_cache``, serving provenance, not run identity.
-    coalesced: bool = False
     #: How the point got its result: ``"ok"`` (clean first attempt),
     #: ``"retried"`` (succeeded after SP601/SP602 degradation), or
     #: ``"failed"`` (exhausted its attempts; no result exists and
@@ -90,7 +85,12 @@ class RunManifest:
     #: noise and serving/failure provenance, not run identity — a
     #: sweep that survived a worker death must digest identically to
     #: an undisturbed one.
-    _UNSTABLE = ("wall_time_s", "from_cache", "coalesced", "status", "faults")
+    _UNSTABLE = ("wall_time_s", "from_cache", "status", "faults")
+
+    #: Keys :meth:`from_dict` drops: the derived digest, and the
+    #: retired ``coalesced`` serving flag that older store entries
+    #: still carry.
+    _NOT_FIELDS = ("digest", "coalesced")
 
     def stable_dict(self) -> Dict[str, object]:
         """Every identity-bearing field, JSON-plain."""
@@ -112,7 +112,7 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "RunManifest":
-        doc = {k: v for k, v in doc.items() if k != "digest"}
+        doc = {k: v for k, v in doc.items() if k not in cls._NOT_FIELDS}
         # JSON round-trips tuples as lists; restore the frozen form.
         doc["faults"] = tuple(dict(f) for f in doc.get("faults", ()))
         return cls(**doc)
@@ -120,11 +120,6 @@ class RunManifest:
     def served_from_cache(self) -> "RunManifest":
         """This manifest, marked as a cache hit (digest unchanged)."""
         return replace(self, from_cache=True)
-
-    def served_coalesced(self) -> "RunManifest":
-        """This manifest, marked as served by request coalescing
-        (digest unchanged)."""
-        return replace(self, coalesced=True)
 
 
 def build_manifest(

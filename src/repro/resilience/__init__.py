@@ -2,19 +2,18 @@
 
 Production-scale sweeps meet real failures: pool workers OOM-killed
 mid-sweep, cache files torn by crashed writers, malformed SuiteSparse
-downloads. This package is the one layer that handles all of them:
+downloads. The fan-out policy behind
+``ExperimentContext.simulate_many``'s ``on_error`` lives in
+:func:`repro.scheduler.run_fanout`: pool breaks degrade to in-process
+execution (SP601), transient item failures retry (SP602), exhausted
+items are recorded as first-class failures (SP603), and a per-item
+watchdog bounds hangs (SP606).
 
-- :mod:`repro.resilience.supervisor` — :func:`supervised_map`, the
-  resilient fan-out behind ``ExperimentContext.simulate_many``'s
-  ``on_error`` policy: pool breaks degrade to in-process execution
-  (SP601), transient item failures retry (SP602), exhausted items are
-  recorded as first-class failures (SP603), and a per-item watchdog
-  bounds hangs (SP606).
-- :mod:`repro.resilience.faults` — a seeded, deterministic
-  :class:`FaultPlan` injecting worker death, cache-file corruption,
-  transient engine failures, and malformed-ingest bytes at named
-  sites, so every degradation path above is *provable* by the chaos
-  suite rather than hoped-for.
+This package holds :mod:`repro.resilience.faults` — a seeded,
+deterministic :class:`FaultPlan` injecting worker death, cache-file
+corruption, transient engine failures, and malformed-ingest bytes at
+named sites, so every degradation path above is *provable* by the
+chaos suite rather than hoped-for.
 
 ``docs/robustness.md`` describes the failure model; the SP6xx codes
 live in the :mod:`repro.analysis.diagnostics` registry like every
@@ -33,21 +32,10 @@ from repro.resilience.faults import (
     maybe_die,
     maybe_raise,
 )
-from repro.resilience.supervisor import (
-    DEFAULT_RETRIES,
-    POLICIES,
-    FanoutOutcome,
-    PointFailure,
-    supervised_map,
-)
 
 __all__ = [
-    "DEFAULT_RETRIES",
     "Fault",
     "FaultPlan",
-    "FanoutOutcome",
-    "POLICIES",
-    "PointFailure",
     "activate",
     "active_plan",
     "drain_fired",
@@ -56,5 +44,4 @@ __all__ = [
     "maybe_corrupt_text",
     "maybe_die",
     "maybe_raise",
-    "supervised_map",
 ]

@@ -1,12 +1,14 @@
 """Pluggable execution substrates behind one job-lifecycle protocol.
 
-``submit / poll / collect_logs / cancel / shutdown`` — see
-:mod:`repro.scheduler.base` for the contract and ``docs/scheduling.md``
-for the backend matrix (``inprocess`` / ``localpool`` / ``spool``).
+``submit / poll / shutdown`` — see :mod:`repro.scheduler.base` for the
+contract and ``docs/scheduling.md`` for the two backends
+(``inprocess`` / ``localpool``).
 """
 
+from typing import Any, Type
+
+from repro.errors import ConfigError
 from repro.scheduler.base import (
-    CANCELLED,
     DEFAULT_RETRIES,
     DONE,
     FAILED,
@@ -17,18 +19,36 @@ from repro.scheduler.base import (
     RUNNING,
     Scheduler,
     SchedulerJob,
-    create_scheduler,
-    is_distributed,
-    register_scheduler,
     run_fanout,
-    scheduler_names,
 )
 from repro.scheduler.inprocess import InprocessScheduler
 from repro.scheduler.localpool import LocalPoolScheduler, pool_chunksize
-from repro.scheduler.spool import SpoolScheduler, run_worker
+
+#: Every backend, by the name ``create_scheduler`` and ``--scheduler``
+#: accept.
+BACKENDS = {
+    InprocessScheduler.name: InprocessScheduler,
+    LocalPoolScheduler.name: LocalPoolScheduler,
+}
+
+
+def scheduler_class(name: str) -> Type[Scheduler]:
+    """The backend class behind ``name``; ConfigError on unknown names."""
+    cls = BACKENDS.get(name)
+    if cls is None:
+        raise ConfigError(
+            f"unknown scheduler backend {name!r}; "
+            f"expected one of {tuple(sorted(BACKENDS))}")
+    return cls
+
+
+def create_scheduler(name: str, **options: Any) -> Scheduler:
+    """Instantiate a backend by name."""
+    return scheduler_class(name)(**options)
+
 
 __all__ = [
-    "CANCELLED",
+    "BACKENDS",
     "DEFAULT_RETRIES",
     "DONE",
     "FAILED",
@@ -41,12 +61,8 @@ __all__ = [
     "RUNNING",
     "Scheduler",
     "SchedulerJob",
-    "SpoolScheduler",
     "create_scheduler",
-    "is_distributed",
     "pool_chunksize",
-    "register_scheduler",
     "run_fanout",
-    "run_worker",
-    "scheduler_names",
+    "scheduler_class",
 ]

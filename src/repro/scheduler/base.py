@@ -1,7 +1,7 @@
-"""The scheduler protocol: one job-lifecycle contract, many substrates.
+"""The scheduler protocol: one job-lifecycle contract, two substrates.
 
 A :class:`Scheduler` owns the *execution substrate* of a fan-out —
-where each job's first attempt physically runs — behind five verbs:
+where each job's first attempt physically runs — behind three verbs:
 
 ``submit``
     Enqueue one ``(fn, item)`` as a :class:`SchedulerJob` (PENDING).
@@ -9,18 +9,10 @@ where each job's first attempt physically runs — behind five verbs:
     item's behalf.
 ``poll``
     Drive the substrate far enough to know the job's status and
-    return it. A terminal status (DONE / FAILED / CANCELLED) means
-    ``result`` / ``exception`` / ``logs`` are populated.
-``collect_logs``
-    Everything the job printed (stdout + stderr), reattached as one
-    string — pool workers capture it in-worker, spool workers stream
-    it to a ``.log`` file that is read back on collect.
-``cancel``
-    Withdraw a PENDING job (True). A job that already ran — or is
-    running — cannot be abandoned (False): simulators are not
-    interruptible mid-point.
+    return it. A terminal status (DONE / FAILED) means ``result`` /
+    ``exception`` are populated.
 ``shutdown``
-    Release the substrate (pools, spool directories).
+    Release the substrate.
 
 The **policy layer** — retries (SP602), skip/raise (SP603), watchdog
 (SP606), degrade accounting (SP601) — lives here in
@@ -31,25 +23,22 @@ semantics of :mod:`repro.resilience.faults` hold identically on every
 backend, and the chaos suite doubles as the scheduler-conformance
 oracle. Backends supply only the first attempt.
 
-Backends register themselves with :func:`register_scheduler` and are
-resolved by name through :func:`create_scheduler`; see
-``docs/scheduling.md`` for the backend matrix.
+Backends are resolved by name through
+:func:`repro.scheduler.create_scheduler`; see ``docs/scheduling.md``
+for the backend matrix.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import threading
 from abc import ABC, abstractmethod
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Type, TypeVar,
-    Union,
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar,
 )
 
-from repro.errors import ConfigError, Diagnostic, WatchdogTimeout
+from repro.errors import Diagnostic, WatchdogTimeout
 
 T = TypeVar("T")
 
@@ -59,13 +48,12 @@ POLICIES = ("raise", "skip", "retry")
 #: Default bounded re-attempts under ``on_error="retry"``.
 DEFAULT_RETRIES = 2
 
-#: Job lifecycle states. PENDING jobs may be cancelled; the other
-#: states are terminal except RUNNING (transient, substrate-side).
+#: Job lifecycle states. DONE and FAILED are terminal; RUNNING is
+#: transient, substrate-side.
 PENDING = "pending"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
-CANCELLED = "cancelled"
 
 
 @dataclass(frozen=True)
@@ -115,13 +103,8 @@ class SchedulerJob:
     status: str = PENDING
     result: Any = None
     #: The exception behind a FAILED status (always set on failure —
-    #: spool workers that cannot pickle theirs send a wrapped repr).
+    #: pool workers that cannot pickle theirs send a wrapped repr).
     exception: Optional[BaseException] = None
-    #: Captured stdout/stderr fragments, reattached by collect_logs.
-    logs: List[str] = field(default_factory=list)
-    #: Backend-side provenance (the spool backend reattaches the job
-    #: manifest written by its worker process here).
-    manifest: Optional[Dict[str, Any]] = None
 
     @property
     def error(self) -> Optional[str]:
@@ -159,20 +142,16 @@ def _call_with_watchdog(fn: Callable[[T], Any], item: T,
 
 
 class Scheduler(ABC):
-    """One execution substrate behind the five-verb protocol.
+    """One execution substrate behind the three-verb protocol.
 
     Every backend shares the constructor surface (``max_workers``,
     ``initializer``/``initargs``, ``chunksize``, ``timeout_s``) so the
-    policy layer can swap substrates without renegotiating options;
-    backend-specific knobs ride on subclasses (the spool backend's
-    ``spool_dir``). ``distributed`` tells callers whether ``fn`` must
-    be picklable (it leaves the submitting process).
+    policy layer can swap substrates without renegotiating options.
     """
 
-    #: Registry name; subclasses override.
+    #: Backend name (the ``scheduler.backend.<name>`` metric); subclasses
+    #: override.
     name: str = "abstract"
-    #: True when jobs leave the submitting process (fn must pickle).
-    distributed: bool = False
 
     def __init__(
         self,
@@ -213,17 +192,6 @@ class Scheduler(ABC):
         if job.status == PENDING:
             self._drive(job)
         return job.status
-
-    def collect_logs(self, job: SchedulerJob) -> str:
-        """Everything the job printed, as one reattached string."""
-        return "".join(job.logs)
-
-    def cancel(self, job: SchedulerJob) -> bool:
-        """Withdraw a PENDING job; False once it ran (or is running)."""
-        if job.status != PENDING:
-            return False
-        job.status = CANCELLED
-        return True
 
     def shutdown(self) -> None:
         """Release the substrate. Idempotent; the base class holds no
@@ -268,68 +236,17 @@ class Scheduler(ABC):
             self.initializer(*self.initargs)
 
     def _execute_inprocess(self, job: SchedulerJob) -> None:
-        """Run one job here, under the watchdog, capturing output."""
+        """Run one job here, under the watchdog."""
         self._ensure_worker_init()
         job.status = RUNNING
-        buf = io.StringIO()
         try:
-            with redirect_stdout(buf), redirect_stderr(buf):
-                result = _call_with_watchdog(job.fn, job.item, self.timeout_s)
+            result = _call_with_watchdog(job.fn, job.item, self.timeout_s)
         except Exception as exc:
             job.exception = exc
             job.status = FAILED
         else:
             job.result = result
             job.status = DONE
-        if buf.getvalue():
-            job.logs.append(buf.getvalue())
-
-
-# ----------------------------------------------------------------------
-# Backend registry
-# ----------------------------------------------------------------------
-_REGISTRY: Dict[str, Type[Scheduler]] = {}
-
-
-def register_scheduler(cls: Type[Scheduler]) -> Type[Scheduler]:
-    """Class decorator: publish a backend under ``cls.name``."""
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def _ensure_backends() -> None:
-    """Import the built-in backends (registration is import-driven);
-    deferred so ``base`` never imports its own subclasses at load."""
-    from repro.scheduler import inprocess, localpool, spool  # noqa: F401
-
-
-def scheduler_names() -> Sequence[str]:
-    _ensure_backends()
-    return tuple(sorted(_REGISTRY))
-
-
-def create_scheduler(name: str, **options: Any) -> Scheduler:
-    """Instantiate a backend by registry name."""
-    _ensure_backends()
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise ConfigError(
-            f"unknown scheduler backend {name!r}; "
-            f"expected one of {scheduler_names()}")
-    return cls(**options)
-
-
-def is_distributed(scheduler: Union[str, Scheduler]) -> bool:
-    """Whether jobs leave the submitting process (fn must pickle)."""
-    if isinstance(scheduler, Scheduler):
-        return scheduler.distributed
-    _ensure_backends()
-    cls = _REGISTRY.get(str(scheduler))
-    if cls is None:
-        raise ConfigError(
-            f"unknown scheduler backend {scheduler!r}; "
-            f"expected one of {scheduler_names()}")
-    return cls.distributed
 
 
 # ----------------------------------------------------------------------
@@ -350,8 +267,7 @@ def run_fanout(
     metrics=None,
 ) -> FanoutOutcome:
     """Map ``fn`` over ``items`` on ``scheduler`` under the supervised
-    failure policy; the backend-independent core of
-    :func:`repro.resilience.supervisor.supervised_map`.
+    failure policy (``"raise"`` | ``"skip"`` | ``"retry"``).
 
     First attempts run on the scheduler's substrate; every re-attempt
     (``on_error="retry"``) runs in the submitting process via
@@ -392,7 +308,7 @@ def run_fanout(
         if status == DONE:
             outcome.results[job.index] = job.result
             _count(metrics, "scheduler.completed")
-        elif status == FAILED:
+        else:
             _count(metrics, "scheduler.failed")
             if on_error == "raise":
                 _absorb_substrate(scheduler, outcome, metrics)
@@ -405,8 +321,6 @@ def run_fanout(
                 index=job.index, item=job.item, error=repr(job.exception),
                 attempts=attempt, diagnostic=diag,
             ))
-        elif status == CANCELLED:
-            _count(metrics, "scheduler.cancelled")
     _absorb_substrate(scheduler, outcome, metrics)
     return outcome
 

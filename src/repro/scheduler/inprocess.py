@@ -2,8 +2,8 @@
 
 Every job runs in the submitting process, one ``poll`` at a time, in
 submission order — no pickling, no forks, breakpoints work. This is
-the reference implementation of the protocol semantics: the other
-backends must be observationally equivalent to it for pure functions
+the reference implementation of the protocol semantics: the pool
+backend must be observationally equivalent to it for pure functions
 (the conformance suite enforces exactly that).
 
 Driving is *lazy and per-job*: ``poll(job)`` executes that job and
@@ -14,15 +14,13 @@ short-circuit behavior.
 
 from __future__ import annotations
 
-from repro.scheduler.base import Scheduler, SchedulerJob, register_scheduler
+from repro.scheduler.base import Scheduler, SchedulerJob
 
 
-@register_scheduler
 class InprocessScheduler(Scheduler):
     """Serial execution in the submitting process."""
 
     name = "inprocess"
-    distributed = False
 
     def _drive(self, job: SchedulerJob) -> None:
         self._execute_inprocess(job)

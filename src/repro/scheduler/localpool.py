@@ -2,9 +2,8 @@
 scheduler protocol.
 
 This is the **only** module in the supervised execution stack allowed
-to name ``ProcessPoolExecutor`` (selfcheck rule SP914) — the substrate
-that used to be hard-coded into ``supervised_map`` and
-``parallel_map`` now lives entirely behind the protocol boundary.
+to name ``ProcessPoolExecutor`` (selfcheck rule SP914) — the pool
+substrate lives entirely behind the protocol boundary.
 
 Driving is *batched*: the first ``poll`` ships every pending job
 through one pool pass. Per-item exceptions are captured in-worker by
@@ -18,12 +17,10 @@ in-process path keeps the per-item watchdog applicable.
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import redirect_stderr, redirect_stdout
 from typing import List, Optional, Tuple
 
 from repro.resilience import faults
@@ -33,7 +30,6 @@ from repro.scheduler.base import (
     PENDING,
     Scheduler,
     SchedulerJob,
-    register_scheduler,
 )
 
 
@@ -60,29 +56,25 @@ def _worker_boot(initializer, initargs, plan) -> None:
 
 
 def _pooled_call(payload: Tuple) -> Tuple:
-    """In-worker wrapper: run one item, capture its output, and return
-    ``("ok", result, log)`` or ``("err", exception, log)`` — so a
-    raising item is a *value*, not a dead map iterator."""
+    """In-worker wrapper: run one item and return ``("ok", result)`` or
+    ``("err", exception)`` — so a raising item is a *value*, not a dead
+    map iterator."""
     fn, item = payload
-    buf = io.StringIO()
     try:
-        with redirect_stdout(buf), redirect_stderr(buf):
-            result = fn(item)
+        result = fn(item)
     except Exception as exc:
         try:
             pickle.dumps(exc)
         except Exception:
             exc = RuntimeError(repr(exc))
-        return ("err", exc, buf.getvalue())
-    return ("ok", result, buf.getvalue())
+        return ("err", exc)
+    return ("ok", result)
 
 
-@register_scheduler
 class LocalPoolScheduler(Scheduler):
     """Process-pool execution with in-process degrade."""
 
     name = "localpool"
-    distributed = True
 
     def _drive(self, job: SchedulerJob) -> None:
         pending = [j for j in self._jobs if j.status == PENDING]
@@ -116,9 +108,7 @@ class LocalPoolScheduler(Scheduler):
                 )
                 try:
                     for job in pending:
-                        tag, value, log = next(results)
-                        if log:
-                            job.logs.append(log)
+                        tag, value = next(results)
                         if tag == "ok":
                             job.result = value
                             job.status = DONE
@@ -137,6 +127,5 @@ class LocalPoolScheduler(Scheduler):
                     # in-process under the policy layer.
                     pass
         except (OSError, PermissionError, ValueError):
-            # No semaphores / fork denied: silent in-process degrade,
-            # the historical parallel_map behavior.
+            # No semaphores / fork denied: silent in-process degrade.
             return

@@ -402,7 +402,7 @@ class TestAtomicWrites:
 class TestBlockingWaits:
     def test_sp913_time_sleep_poll(self, tmp_path):
         write_tree(tmp_path, {
-            "resilience/supervisor.py": """
+            "resilience/faults.py": """
                 import time
 
                 def wait_for(flag):
@@ -414,7 +414,7 @@ class TestBlockingWaits:
 
     def test_sp913_unbounded_future_result(self, tmp_path):
         write_tree(tmp_path, {
-            "engine/parallel.py": """
+            "scheduler/base.py": """
                 def drain(futures):
                     return [f.result() for f in futures]
             """,
@@ -423,7 +423,7 @@ class TestBlockingWaits:
 
     def test_timeout_result_is_clean(self, tmp_path):
         write_tree(tmp_path, {
-            "engine/parallel.py": """
+            "scheduler/base.py": """
                 def drain(futures, timeout_s):
                     return [f.result(timeout=timeout_s) for f in futures]
             """,
@@ -446,7 +446,7 @@ class TestBlockingWaits:
 class TestPoolConfinement:
     def test_sp914_from_import_outside_backend(self, tmp_path):
         write_tree(tmp_path, {
-            "resilience/supervisor.py": """
+            "experiments/runner.py": """
                 from concurrent.futures import ProcessPoolExecutor
 
                 def fan_out(fn, items):
@@ -458,7 +458,7 @@ class TestPoolConfinement:
 
     def test_sp914_attribute_use_outside_backend(self, tmp_path):
         write_tree(tmp_path, {
-            "engine/parallel.py": """
+            "arch/autotune.py": """
                 import concurrent.futures
 
                 def fan_out(fn, items):
@@ -536,6 +536,20 @@ class TestPassFramework:
 
         for p in PASSES:
             assert p.code in CODES, p.code
+
+    def test_every_scope_path_exists(self):
+        # A scope naming a deleted module or package silently checks
+        # nothing; every include/exclude path must exist in the tree.
+        from repro.analysis.selfcheck import PASSES, _library_root
+
+        root = _library_root()
+        for p in PASSES:
+            for rel in p.include + p.exclude:
+                if not rel:
+                    continue  # "" = the whole tree
+                path = root / rel
+                assert path.is_dir() if rel.endswith("/") else \
+                    path.is_file(), f"{p.code}: {rel}"
 
 
 class TestRegistryDuplicates:

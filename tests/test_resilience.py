@@ -1,6 +1,7 @@
-"""Tests for the resilience layer: the supervised fan-out, the
-parallel_map worker-death regression, the chunksize fix, the watchdog,
-the fault-injection harness, and cache quarantine semantics."""
+"""Tests for the resilience layer: the supervised fan-out
+(``run_fanout`` over a scheduler backend), the pool worker-death
+regression, the chunksize fix, the watchdog, the fault-injection
+harness, and cache quarantine semantics."""
 
 import collections
 import json
@@ -11,18 +12,16 @@ import pytest
 
 from repro.arch.config import SparsepipeConfig
 from repro.engine import ResultCache
-from repro.engine.parallel import parallel_map, pool_chunksize
 from repro.errors import InjectedFault, ReproError, WatchdogTimeout
 from repro.experiments.runner import ExperimentContext
-from repro.resilience import (
-    Fault,
-    FaultPlan,
-    FanoutOutcome,
-    activate,
-    drain_fired,
-    supervised_map,
-)
+from repro.resilience import Fault, FaultPlan, activate, drain_fired
 from repro.resilience import faults as faults_mod
+from repro.scheduler import (
+    FanoutOutcome,
+    create_scheduler,
+    pool_chunksize,
+    run_fanout,
+)
 
 _PARENT_PID = os.getpid()
 
@@ -62,13 +61,27 @@ def _slow(x):
     return x  # pragma: no cover - the watchdog fires first
 
 
+def _fanout(backend, fn, items, max_workers=None, timeout_s=None,
+            **policy):
+    """One ``run_fanout`` over a fresh ``backend`` scheduler, shut down
+    afterwards — how ``simulate_many`` drives every sweep."""
+    sched = create_scheduler(backend, max_workers=max_workers,
+                             timeout_s=timeout_s)
+    try:
+        return run_fanout(sched, fn, items, **policy)
+    finally:
+        sched.shutdown()
+
+
 class TestParallelMapRegressions:
+    """Regressions of the process-pool map (the ``localpool`` backend)."""
+
     def test_worker_death_falls_back_to_serial(self):
         # Seed bug: BrokenProcessPool was not in the except clause, so
         # one OOM-killed worker crashed the whole sweep.
-        assert parallel_map(_die_on_three, range(6), max_workers=2) == [
-            0, 2, 4, 6, 8, 10,
-        ]
+        outcome = _fanout("localpool", _die_on_three, range(6),
+                          max_workers=2)
+        assert outcome.results == [0, 2, 4, 6, 8, 10]
 
     def test_chunksize_uses_real_worker_count(self, monkeypatch):
         # Seed bug: with max_workers=None the heuristic divided by
@@ -81,14 +94,18 @@ class TestParallelMapRegressions:
         assert pool_chunksize(10, None) == 5  # cpu_count unknown -> 1
 
     def test_healthy_pool_still_works(self):
-        assert parallel_map(_double, range(8), max_workers=2) == [
-            x * 2 for x in range(8)
-        ]
+        outcome = _fanout("localpool", _double, range(8), max_workers=2)
+        assert outcome.results == [x * 2 for x in range(8)]
+        assert not outcome.pool_broken
 
 
 class TestSupervisedMap:
+    """The ``run_fanout`` failure policies, as ``simulate_many`` uses
+    them: the pool for worker death, in-process for everything else."""
+
     def test_worker_death_degrades_with_sp601(self):
-        outcome = supervised_map(_die_on_three, range(6), max_workers=2)
+        outcome = _fanout("localpool", _die_on_three, range(6),
+                          max_workers=2)
         assert outcome.results == [0, 2, 4, 6, 8, 10]
         assert outcome.pool_broken
         assert [d.code for d in outcome.diagnostics] == ["SP601"]
@@ -96,11 +113,11 @@ class TestSupervisedMap:
 
     def test_raise_policy_propagates(self):
         with pytest.raises(ValueError, match="permanent"):
-            supervised_map(_always_fails, [1, 2], max_workers=1)
+            _fanout("inprocess", _always_fails, [1, 2])
 
     def test_skip_policy_records_failures(self):
-        outcome = supervised_map(
-            _always_fails, [1, 2, 3], max_workers=1, on_error="skip")
+        outcome = _fanout(
+            "inprocess", _always_fails, [1, 2, 3], on_error="skip")
         assert outcome.results == [None, None, None]
         assert len(outcome.failures) == 3
         assert all(f.diagnostic.code == "SP603" for f in outcome.failures)
@@ -109,9 +126,8 @@ class TestSupervisedMap:
 
     def test_retry_policy_recovers_transients(self):
         _CALLS.clear()
-        outcome = supervised_map(
-            _flaky_once, [4, 5],
-            max_workers=1, on_error="retry", retries=2)
+        outcome = _fanout(
+            "inprocess", _flaky_once, [4, 5], on_error="retry", retries=2)
         assert outcome.results == [8, 10]
         assert outcome.ok
         assert sorted(outcome.retried) == [0, 1]
@@ -119,14 +135,14 @@ class TestSupervisedMap:
                    for diags in outcome.retried.values() for d in diags)
 
     def test_retry_policy_exhausts_to_failure(self):
-        outcome = supervised_map(
-            _always_fails, [1], max_workers=1, on_error="retry", retries=2)
+        outcome = _fanout(
+            "inprocess", _always_fails, [1], on_error="retry", retries=2)
         assert outcome.results == [None]
         assert outcome.failures[0].attempts == 3
 
     def test_watchdog_times_out_hung_item(self):
-        outcome = supervised_map(
-            _slow, [1], max_workers=1, on_error="skip", timeout_s=0.2)
+        outcome = _fanout(
+            "inprocess", _slow, [1], on_error="skip", timeout_s=0.2)
         assert outcome.results == [None]
         assert "SP606" in outcome.failures[0].error or "watchdog" in (
             outcome.failures[0].error
@@ -134,14 +150,14 @@ class TestSupervisedMap:
 
     def test_watchdog_raise_policy(self):
         with pytest.raises(WatchdogTimeout):
-            supervised_map(_slow, [1], max_workers=1, timeout_s=0.2)
+            _fanout("inprocess", _slow, [1], timeout_s=0.2)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="on_error"):
-            supervised_map(_double, [1], on_error="ignore")
+            _fanout("inprocess", _double, [1], on_error="ignore")
 
     def test_empty_items(self):
-        outcome = supervised_map(_double, [], max_workers=4)
+        outcome = _fanout("localpool", _double, [], max_workers=4)
         assert outcome == FanoutOutcome(results=[])
 
 
@@ -331,6 +347,31 @@ class TestCacheQuarantine:
         assert fresh.metrics.counter("cache.quarantined").value == 1
         manifest = fresh.manifest("ideal", "pr", "gy")
         assert any(f.get("code") == "SP604" for f in manifest.faults)
+
+    def test_entry_with_retired_coalesced_key_keeps_provenance(
+            self, tmp_path):
+        # Store entries written before the coalesced serving flag was
+        # retired carry "coalesced": false in their manifest. Reading
+        # one back must keep its "retried" status and SP6xx faults —
+        # not drop the manifest and rebuild a clean "ok" one.
+        ctx = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
+        ctx.simulate("ideal", "pr", "gy")
+        entry = next(tmp_path.rglob("*.json"))
+        doc = json.loads(entry.read_text())
+        fault = {"code": "SP602", "severity": "warning",
+                 "message": "attempt 1/3 failed; retrying",
+                 "location": "ideal/pr/gy"}
+        doc["manifest"].update(
+            coalesced=False, status="retried", faults=[fault])
+        entry.write_text(json.dumps(doc))
+
+        fresh = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
+        fresh.simulate("ideal", "pr", "gy")
+        manifest = fresh.manifest("ideal", "pr", "gy")
+        assert manifest.from_cache
+        assert manifest.status == "retried"
+        assert manifest.faults == (fault,)
+        assert manifest.digest() == ctx.manifest("ideal", "pr", "gy").digest()
 
 
 class TestSimulateManyPolicies:

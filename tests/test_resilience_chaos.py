@@ -3,18 +3,17 @@ assert the resilience layer delivers the acceptance criteria — the
 sweep completes, results are bit-identical to a fault-free run, and
 every injected fault is visible as an SP6xx record in the manifests.
 
-The sweep and service classes are parametrized over every scheduler
-backend (``inprocess`` / ``localpool`` / ``spool``): the same fault
-plan must be survived identically no matter which substrate runs the
-points. What differs per backend is only the *degradation* signature —
-the in-process backend has no workers to lose, so it never records
-SP601 — captured in :data:`DEGRADE`.
+The sweep class is parametrized over both scheduler backends
+(``inprocess`` / ``localpool``): the same fault plan must be survived
+identically no matter which substrate runs the points. What differs
+per backend is only the *degradation* signature — the in-process
+backend has no workers to lose, so it never records SP601 — captured
+in :data:`DEGRADE`.
 
-``REPRO_CHAOS_SEED`` overrides the plan seed (default 1234),
+``REPRO_CHAOS_SEED`` overrides the plan seed (default 1234) and
 ``REPRO_CHAOS_DIR`` pins the cache/quarantine directory so CI can
-upload it as an artifact when the suite fails, and
-``REPRO_SCHED_BACKENDS`` (comma-separated) restricts the backend
-matrix; all default to hermetic per-test values.
+upload it as an artifact when the suite fails; both default to
+hermetic per-test values.
 """
 
 import os
@@ -30,12 +29,7 @@ from repro.resilience import Fault, FaultPlan, activate, drain_fired
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1234"))
 
-ALL_BACKENDS = ("inprocess", "localpool", "spool")
-BACKENDS = tuple(
-    b for b in ALL_BACKENDS
-    if b in os.environ.get(
-        "REPRO_SCHED_BACKENDS", ",".join(ALL_BACKENDS)).split(",")
-)
+BACKENDS = ("inprocess", "localpool")
 
 #: Degradation codes each backend is *expected* to surface under
 #: worker death at rate 1.0 — the in-process backend has no worker
@@ -43,7 +37,6 @@ BACKENDS = tuple(
 DEGRADE = {
     "inprocess": frozenset(),
     "localpool": frozenset({"SP601"}),
-    "spool": frozenset({"SP601"}),
 }
 
 #: 2 archs x 2 workloads on one matrix: enough distinct fault keys for
@@ -156,109 +149,6 @@ class TestChaosSweep:
             statuses = tuple(
                 chaotic.manifest(*p).status for p in POINTS[:2])
             outcomes.append((results, statuses))
-        assert outcomes[0] == outcomes[1]
-
-
-class TestChaosService:
-    """The SP6xx fault plan against a live, in-process JobQueue.
-
-    The acceptance bar matches the sweep suite's: under worker death,
-    read-side cache corruption, and transient engine raises — all at
-    rate 1.0 — every submitted job still completes, with results
-    bit-identical to a fault-free service, and the faults visible as
-    SP6xx provenance in the served manifests.
-    """
-
-    def _serve(self, cache_dir, plan=None, scheduler=None):
-        import asyncio
-
-        from repro.service import JobQueue
-
-        async def main():
-            context = ExperimentContext(
-                cache_dir=cache_dir, max_workers=2, on_error="retry",
-                scheduler=scheduler)
-            queue = JobQueue(context=context, scheduler=scheduler)
-            await queue.start()
-            if plan is not None:
-                with activate(plan):
-                    job_ids = [await queue.submit(p) for p in POINTS]
-                    jobs = [await queue.result(j, timeout=300)
-                            for j in job_ids]
-            else:
-                job_ids = [await queue.submit(p) for p in POINTS]
-                jobs = [await queue.result(j, timeout=300)
-                        for j in job_ids]
-            await queue.close()
-            return queue, jobs
-
-        return asyncio.run(main())
-
-    def test_service_survives_every_fault_site(self, chaos_dir, backend):
-        cache_dir = chaos_dir / f"service-cache-{backend}"
-
-        # Fault-free baseline service; populates the shared store so
-        # the chaos pass exercises the cache.get corruption site.
-        _clean_queue, baseline = self._serve(cache_dir)
-        assert all(job.status == "done" for job in baseline)
-
-        queue, jobs = self._serve(cache_dir, plan=_plan(),
-                                  scheduler=backend)
-        fired = drain_fired()
-
-        # Acceptance: every job lands, bit-identical to fault-free.
-        assert [job.status for job in jobs] == ["done"] * len(POINTS)
-        assert [job.result for job in jobs] == \
-            [job.result for job in baseline]
-
-        # The faults really fired, at the expected sites...
-        assert all(d.code == "SP607" for d in fired)
-        sites = {d.location.split("[")[0] for d in fired}
-        assert {"cache.get", "engine.run"} <= sites
-
-        # ...each job's served manifest carries the SP6xx provenance
-        # (status degraded to "retried", never silently "ok")...
-        codes = set()
-        for job in jobs:
-            assert job.manifest.status == "retried"
-            codes.update(f.get("code") for f in job.manifest.faults)
-        assert {"SP602", "SP604"} | DEGRADE[backend] <= codes
-
-        # ...the per-shard quarantine caught every corrupted read...
-        quarantined = list(cache_dir.glob("*/quarantine/*.json"))
-        assert len(quarantined) == len(POINTS)
-
-        # ...and the service + engine books agree on what happened.
-        metrics = queue.context.metrics
-        assert metrics.counter("cache.quarantined").value == len(POINTS)
-        assert metrics.counter("resilience.retries").value >= len(POINTS)
-        assert queue.metrics.value("service.jobs_completed") == len(POINTS)
-        assert queue.metrics.value("service.jobs_failed") == 0
-
-    def test_chaos_service_digests_match_clean_service(self, tmp_path,
-                                                       backend):
-        # Fault survival is unstable provenance: run identity of a
-        # service answer must not depend on the chaos it survived.
-        _q1, clean = self._serve(tmp_path / "clean")
-        _q2, chaotic = self._serve(tmp_path / "chaotic", plan=_plan(),
-                                   scheduler=backend)
-        drain_fired()
-        for a, b in zip(clean, chaotic):
-            assert a.manifest.digest() == b.manifest.digest()
-
-    def test_chaos_service_honors_seed_env(self, tmp_path, backend):
-        # REPRO_CHAOS_SEED reaches the service plan: same seed, same
-        # jobs, same outcome — byte-identical served documents.
-        outcomes = []
-        for attempt in ("a", "b"):
-            queue, jobs = self._serve(tmp_path / attempt,
-                                      plan=_plan(), scheduler=backend)
-            drain_fired()
-            outcomes.append([
-                {k: v for k, v in job.to_doc().items()
-                 if k != "manifest"}  # manifests differ in wall time
-                for job in jobs
-            ])
         assert outcomes[0] == outcomes[1]
 
 

@@ -1,16 +1,13 @@
 """Scheduler-backend conformance suite.
 
-One parametrized suite run identically against every registered
-backend (``inprocess`` / ``localpool`` / ``spool``): protocol
-semantics (submit/poll/collect_logs/cancel/shutdown), the supervised
-failure policies (raise/skip/retry), the watchdog, log reattachment,
-and sweep-level conformance — bit-identical ``SimResult``s and
-digest-stable manifests regardless of substrate. Backends may not
-special-case their way out: the test ids name the backend, so a
-failure reads as a conformance violation of that backend.
-
-``REPRO_SCHED_BACKENDS`` (comma-separated) restricts the run to a
-subset — CI's scheduler matrix runs the suite once per backend.
+One parametrized suite run identically against both backends
+(``inprocess`` / ``localpool``): protocol semantics
+(submit/poll/shutdown), the supervised failure policies
+(raise/skip/retry), the watchdog, and sweep-level conformance —
+bit-identical ``SimResult``s and digest-stable manifests regardless of
+substrate. Backends may not special-case their way out: the test ids
+name the backend, so a failure reads as a conformance violation of
+that backend.
 """
 
 import collections
@@ -23,23 +20,16 @@ from repro.errors import ConfigError, WatchdogTimeout
 from repro.experiments.runner import ExperimentContext
 from repro.obs.metrics import MetricsRegistry
 from repro.scheduler import (
-    CANCELLED,
+    BACKENDS as SCHEDULER_BACKENDS,
     DONE,
     FAILED,
     PENDING,
     FanoutOutcome,
     create_scheduler,
-    is_distributed,
     run_fanout,
-    scheduler_names,
 )
 
-ALL_BACKENDS = ("inprocess", "localpool", "spool")
-BACKENDS = tuple(
-    b for b in ALL_BACKENDS
-    if b in os.environ.get(
-        "REPRO_SCHED_BACKENDS", ",".join(ALL_BACKENDS)).split(",")
-)
+BACKENDS = ("inprocess", "localpool")
 
 _PARENT_PID = os.getpid()
 
@@ -55,11 +45,6 @@ SWEEP_POINTS = [
 # Module-level (picklable) job functions
 # ----------------------------------------------------------------------
 def _double(x):
-    return x * 2
-
-
-def _print_and_double(x):
-    print(f"computing {x}")
     return x * 2
 
 
@@ -86,10 +71,8 @@ def _slow(x):
 
 
 def _die_outside_parent(x):
-    """Worker death: exits hard anywhere but the submitting process.
-    Pool workers are forked (pid check); spool workers re-import this
-    module, so the pid check is blind there — the env marker isn't."""
-    if os.environ.get("REPRO_SPOOL_WORKER") or os.getpid() != _PARENT_PID:
+    """Worker death: exits hard anywhere but the submitting process."""
+    if os.getpid() != _PARENT_PID:
         os._exit(17)
     return x * 2
 
@@ -100,14 +83,12 @@ def backend(request):
 
 
 @pytest.fixture
-def make_scheduler(backend, tmp_path):
+def make_scheduler(backend):
     """Factory for schedulers of the parametrized backend; everything
     created through it is shut down at teardown."""
     created = []
 
     def factory(**options):
-        if backend == "spool":
-            options.setdefault("spool_dir", tmp_path / "spool")
         sched = create_scheduler(backend, **options)
         created.append(sched)
         return sched
@@ -119,14 +100,11 @@ def make_scheduler(backend, tmp_path):
 
 class TestProtocol:
     def test_registry_knows_every_backend(self):
-        assert set(ALL_BACKENDS) <= set(scheduler_names())
+        assert set(SCHEDULER_BACKENDS) == set(BACKENDS)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="unknown scheduler"):
             create_scheduler("carrier-pigeon")
-
-    def test_distributed_flag(self, backend):
-        assert is_distributed(backend) == (backend != "inprocess")
 
     def test_submit_poll_lifecycle(self, make_scheduler, backend):
         sched = make_scheduler()
@@ -142,27 +120,6 @@ class TestProtocol:
         assert sched.poll(job) == FAILED
         assert isinstance(job.exception, Exception)
         assert "permanent" in job.error
-
-    def test_cancel_semantics(self, make_scheduler):
-        sched = make_scheduler()
-        keep = sched.submit(_double, 1)
-        drop = sched.submit(_double, 2)
-        # A PENDING job can be withdrawn; it never runs.
-        assert sched.cancel(drop) is True
-        assert drop.status == CANCELLED
-        assert sched.poll(keep) == DONE
-        assert drop.status == CANCELLED and drop.result is None
-        # A job that already ran cannot be abandoned retroactively.
-        assert sched.cancel(keep) is False
-        assert keep.status == DONE
-
-    def test_log_reattachment(self, make_scheduler):
-        sched = make_scheduler()
-        jobs = [sched.submit(_print_and_double, x, index=x) for x in (1, 2)]
-        for job in jobs:
-            sched.poll(job)
-        for x, job in zip((1, 2), jobs):
-            assert f"computing {x}" in sched.collect_logs(job)
 
 
 class TestPolicies:
@@ -225,7 +182,7 @@ class TestPolicies:
     def test_worker_death_degrades_not_crashes(self, make_scheduler,
                                                backend):
         """A dead worker is a substrate degradation (SP601 + in-process
-        completion) on distributed backends and a non-event on the
+        completion) on the pool backend and a non-event on the
         in-process one — never a failed sweep."""
         sched = make_scheduler(max_workers=2)
         outcome = run_fanout(sched, _die_outside_parent, range(4))
@@ -249,11 +206,7 @@ class TestSweepConformance:
     """simulate_many on an explicit backend: bit-identical SimResults
     and digest-stable manifests versus the serial reference."""
 
-    def test_results_and_digests_match_serial_reference(
-        self, backend, tmp_path, monkeypatch
-    ):
-        if backend == "spool":
-            monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "spool"))
+    def test_results_and_digests_match_serial_reference(self, backend):
         reference = ExperimentContext()
         baseline = reference.simulate_many(SWEEP_POINTS)
 
@@ -266,64 +219,14 @@ class TestSweepConformance:
                 reference.manifest(*point).digest()
             assert context.manifest(*point).status == "ok"
 
-    def test_scheduler_counters_reach_context_metrics(
-        self, backend, tmp_path, monkeypatch
-    ):
-        if backend == "spool":
-            monkeypatch.setenv("REPRO_SPOOL_DIR", str(tmp_path / "spool"))
+    def test_scheduler_counters_reach_context_metrics(self, backend):
         context = ExperimentContext(max_workers=2, scheduler=backend)
         context.simulate_many(SWEEP_POINTS)
         metrics = context.metrics.to_dict()
         assert metrics["scheduler.submitted"]["value"] == len(SWEEP_POINTS)
         assert f"scheduler.backend.{backend}" in metrics
 
-    def test_unknown_backend_rejected_at_context_construction(self):
+    @pytest.mark.parametrize("name", ["carrier-pigeon", "spool"])
+    def test_unknown_backend_rejected_at_context_construction(self, name):
         with pytest.raises(ConfigError, match="unknown scheduler"):
-            ExperimentContext(scheduler="carrier-pigeon")
-
-
-@pytest.mark.skipif("spool" not in BACKENDS,
-                    reason="spool excluded by REPRO_SCHED_BACKENDS")
-class TestSpoolArtifacts:
-    """Spool-backend specifics: the job-file lifecycle on disk."""
-
-    def test_job_file_artifacts(self, tmp_path):
-        sched = create_scheduler("spool", spool_dir=tmp_path / "spool")
-        try:
-            outcome = run_fanout(sched, _print_and_double, [7])
-            assert outcome.results == [14]
-            job = sched._jobs[0]
-            root = sched.spool_dir
-            assert (root / f"{job.job_id}.job").exists()
-            assert (root / f"{job.job_id}.out").exists()
-            assert (root / f"{job.job_id}.log").exists()
-            manifest = job.manifest
-            assert manifest["backend"] == "spool"
-            assert manifest["status"] == "done"
-            assert manifest["worker_pid"] != os.getpid()
-            assert "computing 7" in sched.collect_logs(job)
-        finally:
-            sched.shutdown()
-        # Explicit spool dirs are kept for post-mortem (CI artifacts).
-        assert (tmp_path / "spool").exists()
-
-    def test_ephemeral_spool_dir_removed_on_shutdown(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPOOL_DIR", raising=False)
-        sched = create_scheduler("spool")
-        root = sched.spool_dir
-        assert root.exists()
-        sched.shutdown()
-        assert not root.exists()
-
-    def test_worker_runs_with_env_marker(self, tmp_path):
-        sched = create_scheduler("spool", spool_dir=tmp_path)
-        try:
-            job = sched.submit(_spool_env_probe, None)
-            assert sched.poll(job) == DONE
-            assert job.result == "1"
-        finally:
-            sched.shutdown()
-
-
-def _spool_env_probe(_):
-    return os.environ.get("REPRO_SPOOL_WORKER", "")
+            ExperimentContext(scheduler=name)
