@@ -106,7 +106,8 @@ def test_reference_backend_matches_golden(context, update_goldens, workload):
 def test_goldens_have_no_strays():
     """Every checked-in golden corresponds to a registered workload or
     to one of the layer fixtures of ``tests/test_goldens_layers.py``."""
-    known = {f"{w}.json" for w in WORKLOADS} | {"preprocess.json", "functional.json"}
+    known = {f"{w}.json" for w in WORKLOADS} | {
+        "preprocess.json", "functional.json", "observed.json"}
     stray = [p.name for p in GOLDEN_DIR.glob("*.json") if p.name not in known]
     assert not stray, f"stray golden files: {stray}"
 

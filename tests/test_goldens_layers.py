@@ -13,6 +13,15 @@ output unseen:
   :class:`~repro.workloads.base.FunctionalResult` iteration count,
   activity tuple and a bitwise digest of the output.
 
+It also freezes what the simulator's observers see, the layer above it:
+
+- ``tests/goldens/observed.json`` — per (workload, variant) on ``gy``,
+  with every stock observer attached: the sha256 of the sorted
+  Chrome-trace JSON, the metrics-registry digest,
+  ``CounterObserver.as_dict()``, and digests of the ``EventLogObserver``
+  stream, the ``StepTraceObserver`` samples and the
+  ``PipelineActivityObserver`` steps. Both backends must reproduce it.
+
 A failing golden prints a field-level diff; regenerate deliberately
 with::
 
@@ -21,13 +30,25 @@ with::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.arch.config import SparsepipeConfig
+from repro.arch.pipeline_viz import PipelineActivityObserver
+from repro.arch.simulator import SparsepipeSimulator
+from repro.engine.instrumentation import (
+    CounterObserver,
+    EventLogObserver,
+    StepTraceObserver,
+)
+from repro.experiments.runner import ExperimentContext
 from repro.graphblas.matrix import Matrix
-from repro.matrices.suite import load_suite_matrix, suite_names
+from repro.matrices.suite import SUITE, load_suite_matrix, suite_names
+from repro.obs.metrics import MetricsObserver
+from repro.obs.timeline import TimelineObserver
 from repro.preprocess.pipeline import preprocess
 from repro.testing import array_digest, diff_docs
 from repro.workloads.registry import get_workload, workload_names
@@ -35,6 +56,7 @@ from repro.workloads.registry import get_workload, workload_names
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 PREPROCESS_PATH = GOLDEN_DIR / "preprocess.json"
 FUNCTIONAL_PATH = GOLDEN_DIR / "functional.json"
+OBSERVED_PATH = GOLDEN_DIR / "observed.json"
 
 MATRICES = tuple(suite_names())
 WORKLOADS = tuple(workload_names())
@@ -66,6 +88,51 @@ def _functional_doc(workload: str, matrix: Matrix) -> dict:
         "n_iterations": result.n_iterations,
         "activity": list(result.activity),
         "output": array_digest(result.output),
+    }
+
+
+def _sha256(doc: object) -> str:
+    text = json.dumps(doc, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: Observed-run variants: flat and banked DRAM, plus a 20 kB buffer —
+#: the default buffer never spills on ``gy``, so only the tight one
+#: exercises the evict events.
+OBSERVED_VARIANTS = {
+    "flat": {},
+    "banked": {"detailed_dram": True},
+    "tight": {"buffer_bytes": 20000},
+}
+
+
+def _observed_doc(context, workload: str, variant: dict,
+                  backend: str) -> dict:
+    matrix = "gy"
+    config = SparsepipeConfig(backend=backend, **variant)
+    timeline, metrics = TimelineObserver(), MetricsObserver()
+    counter, log = CounterObserver(), EventLogObserver()
+    steps, activity = StepTraceObserver(), PipelineActivityObserver()
+    result = SparsepipeSimulator(config).run(
+        context.profile(workload, matrix), context.prepared(matrix),
+        paper_nnz=SUITE[matrix].paper_nnz,
+        observers=(timeline, metrics, counter, log, steps, activity),
+    )
+    return {
+        "trace": _sha256(timeline.to_chrome_trace()),
+        "metrics_digest": metrics.finalize(result).digest(),
+        "counters": counter.as_dict(),
+        "events": _sha256(log.events),
+        "samples": _sha256([
+            (b.progress, b.utilization, b.category_share)
+            for b in steps.samples(config.bytes_per_cycle)
+        ]),
+        # The reference loop reports some stage cycles as ints; the
+        # value, not its Python type, is what is frozen.
+        "activity": _sha256([
+            (step, cycles, {k: float(v) for k, v in stages.items()})
+            for step, cycles, stages in activity.steps
+        ]),
     }
 
 
@@ -101,3 +168,15 @@ def test_functional_golden(matrices, update_goldens):
         for name in MATRICES
     }
     _check(FUNCTIONAL_PATH, actual, update_goldens)
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+def test_observed_golden(backend, update_goldens):
+    context = ExperimentContext(matrices=("gy",))
+    actual = {
+        f"{workload}/{name}": _observed_doc(
+            context, workload, variant, backend)
+        for workload in context.all_workloads()
+        for name, variant in OBSERVED_VARIANTS.items()
+    }
+    _check(OBSERVED_PATH, actual, update_goldens)
