@@ -51,12 +51,14 @@ Batched event synthesis
 -----------------------
 Observed runs do not fall back to the reference loop. When an
 :class:`~repro.engine.instrumentation.Instrumentation` carries observers,
-the fastpath *synthesizes* the full PR-3 event contract post-hoc from its
-precomputed vectors and replays it through the instrumentation in one pass:
-per step, ``prefetch`` → truthy ``transfer``s in account order → ``evict`` →
-``repack`` → the closing ``step`` event, then one ``FILL_STEP`` charge per
-pair/stream — exactly the order the reference loop fires them, with the
-same values, so traces, metrics, and Fig 15 bandwidth samples are
+the fastpath *synthesizes* the per-step records of the event contract
+post-hoc from its precomputed vectors — per step, ``prefetch`` → truthy
+``transfer``s in account order → ``evict`` → ``repack`` → the closing
+``step``, then one ``FILL_STEP`` charge per pair/stream — and hands each
+pair/stream to the observers as one
+:class:`~repro.engine.instrumentation.ReplayBatch`, exactly as the
+reference loop does with the records it collects. Same records, same
+values, so traces, metrics, and Fig 15 bandwidth samples are
 byte-identical while the simulation itself stays vectorized. Each kernel
 renders its event script once (:meth:`_PairKernel.replay_script`) and every
 pair that reuses the kernel replays the cached script.
@@ -761,10 +763,11 @@ def run_fastpath(
     ``SimResult`` for every configuration (flat or banked DRAM).
 
     ``instr`` is the caller's instrumentation dispatcher. With observers
-    attached, the synthesized PR-3 event stream is replayed through it
-    post-hoc (byte-identical traces/metrics, Fig 15 samples via any
-    registered :class:`StepTraceObserver`); a falsy/absent ``instr`` is
-    the zero-observer fast path — no events, ``bandwidth_samples=[]``.
+    attached, each pair/stream's synthesized records reach them as one
+    :class:`ReplayBatch` (byte-identical traces/metrics, Fig 15 samples
+    via any registered :class:`StepTraceObserver`); a falsy/absent
+    ``instr`` is the zero-observer fast path — no batches,
+    ``bandwidth_samples=[]``.
     """
     run = _FastRun(config, plan, profile, capacity)
     replay = instr if instr else None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.engine.instrumentation import FILL_STEP, Observer
+from repro.engine.instrumentation import FILL_STEP, Observer, ReplayBatch
 from repro.oei.schedule import OEISchedule
 
 #: Row order of the rendering, matching Fig 13 top-to-bottom.
@@ -72,10 +72,10 @@ class PipelineActivityObserver(Observer):
         #: (step index, step cycles, component -> cycles)
         self.steps: List[Tuple[int, float, Dict[str, float]]] = []
 
-    def on_step(self, step, cycles, moved, stage_cycles=None) -> None:
-        if step == FILL_STEP or stage_cycles is None:
-            return
-        self.steps.append((step, cycles, dict(stage_cycles)))
+    def on_replay(self, batch: ReplayBatch) -> None:
+        for step, cycles, *_, stage_cycles in batch.steps:
+            if step != FILL_STEP and stage_cycles is not None:
+                self.steps.append((step, cycles, dict(stage_cycles)))
 
     def bottlenecks(self) -> List[str]:
         """The slowest component per recorded step (``overhead`` when

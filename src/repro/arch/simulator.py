@@ -11,7 +11,11 @@ pipeline advances in lock-step, Fig 13).  Workloads without an OEI path
 
 Instrumentation is pluggable: pass ``observers`` to receive the
 step / transfer / evict / repack / prefetch event stream
-(:mod:`repro.engine.instrumentation`).  The default (``observers=None``)
+(:mod:`repro.engine.instrumentation`).  The reference loop collects one
+record per step and hands each pair or stream to the observers as a
+:class:`~repro.engine.instrumentation.ReplayBatch`, the same form the
+vectorized backend synthesizes; it builds no record when no observer
+is attached.  The default (``observers=None``)
 registers one :class:`~repro.engine.instrumentation.StepTraceObserver`
 so the returned :class:`SimResult` carries Fig 15's bandwidth samples
 exactly as before; pass ``observers=()`` for the zero-observer fast
@@ -45,6 +49,7 @@ from repro.engine.instrumentation import (
     FILL_STEP,
     Instrumentation,
     Observer,
+    ReplayBatch,
     StepTraceObserver,
 )
 from repro.engine.registry import register_arch
@@ -109,9 +114,9 @@ class SparsepipeSimulator:
 
         # Vectorized backend: bit-identical to the loop below
         # (repro.arch.fastpath) for every configuration — attached
-        # observers receive the synthesized PR-3 event stream post-hoc
-        # and the banked DRAM model is vectorized per category, so there
-        # is no reference-loop fallback.
+        # observers receive the same per-pair batches, synthesized
+        # post-hoc, and the banked DRAM model is vectorized per
+        # category, so there is no reference-loop fallback.
         if config.backend == "vectorized":
             self.last_backend = "vectorized"
             return run_fastpath(config, plan, profile, capacity, instr=instr)
@@ -198,8 +203,8 @@ class SparsepipeSimulator:
                 return float(plan.subtensor_width[t])
             return 0.0
 
+        steps = []
         for s in range(plan.n_steps):
-            moved = {}
             # --- demand traffic --------------------------------------
             reload_bytes = buffer.pop_reload(s)
             csc_due = prefetcher.demand(s)
@@ -238,20 +243,18 @@ class SparsepipeSimulator:
             leftover = step_cycles * achievable - demand
             prefetched = prefetcher.prefetch(s, leftover, buffer.slack_bytes())
             buffer.prefetch_resident_bytes += prefetched
-            if instr and prefetched:
-                instr.prefetch(s, prefetched)
 
             # --- account --------------------------------------------
-            moved["csc"] = csc_due
-            moved["csr_reload"] = reload_bytes
-            moved["csr_eager"] = prefetched
-            moved["vector"] = vec_read + extra_dram_share
-            moved["writeback"] = writeback
+            moved = {
+                "csc": csc_due,
+                "csr_reload": reload_bytes,
+                "csr_eager": prefetched,
+                "vector": vec_read + extra_dram_share,
+                "writeback": writeback,
+            }
             for cat, val in moved.items():
                 if val:
                     memory.transfer(cat, val)
-                    if instr:
-                        instr.transfer(cat, val)
 
             # --- reuse-window transitions ----------------------------
             if s < plan.n_subtensors:
@@ -259,19 +262,15 @@ class SparsepipeSimulator:
             repacks_before = buffer.repack_events
             buffer.release(s)
             evicted = buffer.enforce_capacity(s)
-            if instr:
-                if evicted:
-                    instr.evict(s, evicted)
-                if buffer.repack_events > repacks_before:
-                    instr.repack(s)
 
             state.cycles += step_cycles
             if instr:
-                instr.step(
-                    s, step_cycles, moved,
+                steps.append((
+                    s, step_cycles, prefetched, _fired(moved), evicted,
+                    buffer.repack_events > repacks_before, moved,
                     {"os": os_c, "ewise": ew_c, "is": is_c,
                      "extra": extra_c, "memory": mem_c},
-                )
+                ))
             state.compute_ops += (
                 plan.os_nnz[s] * act1 * f if s < plan.n_subtensors else 0.0
             )
@@ -284,7 +283,7 @@ class SparsepipeSimulator:
         fill = float(config.read_latency_cycles + cores.tree_depth)
         state.cycles += fill
         if instr:
-            instr.step(FILL_STEP, fill, {})
+            _replay(instr, steps, fill)
 
     # ------------------------------------------------------------------
     # Single streamed iteration (odd tail, or non-OEI workloads)
@@ -308,6 +307,7 @@ class SparsepipeSimulator:
         extra_dram_share = profile.extra_dram_bytes_per_iteration / max(1, plan.n_subtensors)
         extra_ops_share = profile.extra_ops_per_iteration / max(1, plan.n_subtensors)
 
+        steps = []
         for t in range(plan.n_subtensors):
             w = float(plan.subtensor_width[t])
             vec_read = VECTOR_ELEMENT_BYTES * f * w * (act + profile.aux_streams * act)
@@ -332,21 +332,31 @@ class SparsepipeSimulator:
             for cat, val in moved.items():
                 if val:
                     memory.transfer(cat, val)
-                    if instr:
-                        instr.transfer(cat, val)
             state.cycles += step_cycles
             if instr:
-                instr.step(
-                    t, step_cycles, moved,
+                steps.append((
+                    t, step_cycles, 0.0, _fired(moved), 0.0, False, moved,
                     {"os": os_c, "ewise": ew_c, "extra": extra_c, "memory": mem_c},
-                )
+                ))
             state.compute_ops += (
                 plan.os_nnz[t] * act * f + w * act * n_ops * f + extra_ops_share
             )
         fill = float(config.read_latency_cycles + cores.tree_depth)
         state.cycles += fill
         if instr:
-            instr.step(FILL_STEP, fill, {})
+            _replay(instr, steps, fill)
+
+
+def _fired(moved: dict) -> tuple:
+    """The ``(category, bytes)`` transfers a step fired, in account
+    order: every non-zero amount of ``moved``."""
+    return tuple((cat, val) for cat, val in moved.items() if val)
+
+
+def _replay(instr: Instrumentation, steps: list, fill: float) -> None:
+    """Close one pair or stream with its fill charge and deliver it."""
+    steps.append((FILL_STEP, fill, 0.0, (), 0.0, False, {}, None))
+    instr.replay(ReplayBatch(steps))
 
 
 class _RunState:

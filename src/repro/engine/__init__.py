@@ -6,9 +6,10 @@ of the individual models and drivers:
 - :mod:`repro.engine.registry` — the :class:`Engine` protocol and the
   architecture registry (``register_arch`` / ``create_engine``);
   every model the evaluation compares plugs in here,
-- :mod:`repro.engine.instrumentation` — the observer protocol for
-  simulator events (step / transfer / evict / repack / prefetch) with
-  a zero-observer fast path,
+- :mod:`repro.engine.instrumentation` — the observer protocol: both
+  simulator backends deliver their step / transfer / evict / repack /
+  prefetch events as one ``ReplayBatch`` per OEI pair or stream to
+  ``Observer.on_replay``, with a zero-observer fast path,
 - :mod:`repro.engine.cache` — the persistent on-disk result cache
   keyed by content (config hash + code version).
 

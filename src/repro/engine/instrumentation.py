@@ -1,6 +1,6 @@
 """Pluggable simulator instrumentation.
 
-The Sparsepipe pipeline simulator emits five event kinds while it
+The Sparsepipe pipeline simulator reports five event kinds while it
 walks the OEI schedule:
 
 - ``transfer(category, bytes)`` — one DRAM transfer was accounted,
@@ -15,21 +15,18 @@ walks the OEI schedule:
   prefetch / evict / repack it contains. ``index`` is the pipeline
   step, or ``FILL_STEP`` for the once-per-pair pipeline-fill charge.
 
-Observers subclass :class:`Observer` and override only the hooks they
-care about; :class:`~repro.arch.simulator.SparsepipeSimulator.run`
-takes a sequence of them. With **no observers registered the simulator
-skips event construction entirely** (the zero-observer fast path), so
-instrumentation costs nothing unless asked for.
-
-The vectorized backend does not walk steps one at a time, so it
-delivers the same event stream as a :class:`ReplayBatch` — one pair or
-stream worth of pre-synthesized, step-aligned event records — through
-:meth:`Instrumentation.replay`. Observers that define an ``on_replay``
-method consume the batch wholesale (and may cache derived templates on
-``batch.cache``, since batches are memoized per kernel and replayed
-once per iteration); everything else receives the exact per-event hook
-sequence via :meth:`ReplayBatch.dispatch`. Either way the observable
-event order is the reference loop's, byte for byte.
+Both backends deliver that stream the same way: one
+:class:`ReplayBatch` per OEI pair or stream — one record per committed
+step, closing with the ``FILL_STEP`` charge — handed to every
+observer's one hook, :meth:`Observer.on_replay`, through
+:meth:`Instrumentation.replay`. The reference loop collects the records
+as it walks the steps; the vectorized backend synthesizes them from its
+kernels and memoizes each batch, so observers may cache derived
+templates on ``batch.cache``. Either way the records, and the event
+order they encode, are the reference loop's, byte for byte. With **no
+observers registered neither backend builds a record** (the
+zero-observer fast path), so instrumentation costs nothing unless
+asked for.
 
 :class:`StepTraceObserver` reproduces the historical hard-wired
 accumulators (the per-step :class:`~repro.arch.stats.StepTrace` behind
@@ -41,7 +38,7 @@ PipelineActivityObserver` renders per-step bottlenecks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,49 +51,18 @@ FILL_STEP = -1
 
 
 class Observer:
-    """Base observer: every hook is a no-op; override what you need."""
+    """Base observer: override :meth:`on_replay`."""
 
-    def on_step(
-        self,
-        step: int,
-        cycles: float,
-        moved: Mapping[str, float],
-        stage_cycles: Optional[Mapping[str, float]] = None,
-    ) -> None:
-        """One pipeline step committed (``FILL_STEP`` for fill charges).
-
-        ``stage_cycles`` breaks the step down by component (``os``,
-        ``ewise``, ``is``, ``extra``, ``memory``); ``None`` for fill
-        charges and single-stream steps without an IS stage.
-        """
-
-    def on_transfer(self, category: str, n_bytes: float) -> None:
-        """One DRAM transfer was accounted to ``category``."""
-
-    def on_evict(self, step: int, n_bytes: float) -> None:
-        """The buffer evicted ``n_bytes`` under OOM during ``step``."""
-
-    def on_repack(self, step: int) -> None:
-        """The buffer repacked consumed elements during ``step``."""
-
-    def on_prefetch(self, step: int, n_bytes: float) -> None:
-        """The eager CSR loader prefetched ``n_bytes`` during ``step``."""
-
-    def on_diagnostic(self, diag) -> None:
-        """The static verifier reported a (possibly suppressed)
-        :class:`~repro.errors.Diagnostic` during this run."""
-
-    # Observers may additionally define ``on_replay(batch)`` — NOT a
-    # base-class method, its *absence* is how ``Instrumentation.replay``
-    # detects that an observer needs per-event dispatch — to consume a
-    # whole :class:`ReplayBatch` at once. An ``on_replay`` MUST leave
-    # the observer in exactly the state the equivalent per-event hook
-    # sequence would have.
+    def on_replay(self, batch: ReplayBatch) -> None:
+        """Consume one pair or stream of the event stream, in step
+        order. Batches may be replayed more than once (the vectorized
+        backend memoizes them per kernel), so an observer must not
+        mutate the records."""
 
 
 class ReplayBatch:
-    """One pre-synthesized, step-aligned span of the event stream — a
-    single pair (plus its fill charge) or stream replay.
+    """One step-aligned span of the event stream — a single pair (plus
+    its fill charge) or stream.
 
     ``steps`` holds one record per committed step, in commit order::
 
@@ -105,18 +71,24 @@ class ReplayBatch:
 
     where ``transfers`` is a tuple of ``(category, n_bytes)`` in firing
     order, ``repack`` is a bool, and zero/empty fields mean the
-    corresponding event never fired. Batches are memoized by the
+    corresponding event never fired. ``moved`` maps every category the
+    step accounts to its bytes, zeros included; ``stage_cycles`` breaks
+    the step down by component (``os``, ``ewise``, ``is``, ``extra``,
+    ``memory``) and is ``None`` for fill charges. Batches are memoized by the
     vectorized backend (one per kernel) and replayed once per
     iteration, so ``cache`` gives observers a stable home for derived
     templates keyed by consumer (``batch.cache["timeline"]`` etc.).
 
     ``columns`` is the same event stream as per-counter float64 arrays
-    (see :meth:`column_data`): the producer passes the kernel's own
-    vectors through so numeric observers can fold whole batches with
-    ``cumsum`` instead of walking ``steps``. Folding a full column —
-    zero amounts included — equals the reference hook sequence bit for
-    bit, because the skipped hooks would have added ``0.0``, the
-    float-addition identity for the non-negative totals involved.
+    (see :meth:`column_data`) so numeric observers can fold whole
+    batches with ``cumsum`` instead of walking ``steps``. The vectorized
+    backend passes its kernel's own vectors through; the reference loop
+    passes none and they are derived from ``steps``. Folding a full
+    kernel column — zero amounts included — equals the in-order fold
+    over the fired events bit for bit, because each zero adds ``0.0``,
+    the float-addition identity for the non-negative totals involved.
+    Event *counts* therefore come from the records or the ``n_*``
+    fields, never from column lengths.
     """
 
     __slots__ = ("steps", "columns", "cache")
@@ -188,27 +160,12 @@ class ReplayBatch:
             "n_repack": n_repack,
         }
 
-    def dispatch(self, instr: "Instrumentation") -> None:
-        """Fire the batch as the exact per-event hook sequence the
-        reference loop would emit (the PR-3 event contract order)."""
-        for (step, cycles, prefetch, transfers, evict, repack,
-             moved, stage_cycles) in self.steps:
-            if prefetch:
-                instr.prefetch(step, prefetch)
-            for cat, val in transfers:
-                instr.transfer(cat, val)
-            if evict:
-                instr.evict(step, evict)
-            if repack:
-                instr.repack(step)
-            instr.step(step, cycles, moved, stage_cycles)
-
 
 class Instrumentation:
     """Fan-out dispatcher the simulator drives.
 
-    Truthiness is the fast-path test: ``if instr:`` guards every event
-    emission, so an empty observer set costs one branch per use.
+    Truthiness is the fast-path test: ``if instr:`` guards every record
+    a backend builds, so an empty observer set costs one branch per use.
     """
 
     __slots__ = ("observers",)
@@ -219,52 +176,10 @@ class Instrumentation:
     def __bool__(self) -> bool:
         return bool(self.observers)
 
-    def step(
-        self,
-        step: int,
-        cycles: float,
-        moved: Mapping[str, float],
-        stage_cycles: Optional[Mapping[str, float]] = None,
-    ) -> None:
-        for o in self.observers:
-            o.on_step(step, cycles, moved, stage_cycles)
-
-    def transfer(self, category: str, n_bytes: float) -> None:
-        for o in self.observers:
-            o.on_transfer(category, n_bytes)
-
-    def evict(self, step: int, n_bytes: float) -> None:
-        for o in self.observers:
-            o.on_evict(step, n_bytes)
-
-    def repack(self, step: int) -> None:
-        for o in self.observers:
-            o.on_repack(step)
-
-    def prefetch(self, step: int, n_bytes: float) -> None:
-        for o in self.observers:
-            o.on_prefetch(step, n_bytes)
-
     def replay(self, batch: ReplayBatch) -> None:
-        """Deliver a synthesized batch: observers with ``on_replay``
-        consume it wholesale; the rest get per-event dispatch in the
-        reference loop's exact order."""
-        generic: List[Observer] = []
+        """Deliver one batch to every observer, in registration order."""
         for o in self.observers:
-            on_replay = getattr(o, "on_replay", None)
-            if on_replay is not None:
-                on_replay(batch)
-            else:
-                generic.append(o)
-        if generic:
-            batch.dispatch(
-                self if len(generic) == len(self.observers)
-                else Instrumentation(generic)
-            )
-
-    def diagnostic(self, diag) -> None:
-        for o in self.observers:
-            o.on_diagnostic(diag)
+            o.on_replay(batch)
 
     def find(self, cls: type) -> Optional[Observer]:
         """First registered observer of ``cls`` (or None)."""
@@ -283,12 +198,7 @@ class StepTraceObserver(Observer):
     def __init__(self) -> None:
         self.trace = StepTrace()
 
-    def on_step(self, step, cycles, moved, stage_cycles=None) -> None:
-        self.trace.record(cycles, moved)
-
     def on_replay(self, batch: ReplayBatch) -> None:
-        # Same record() calls in the same order, minus the no-op hook
-        # dispatch for every transfer/prefetch/evict in between.
         record = self.trace.record
         for rec in batch.steps:
             record(rec[1], rec[6])
@@ -313,27 +223,26 @@ class CounterObserver(Observer):
         self.prefetch_events = 0
         self.prefetch_bytes = 0.0
 
-    def on_step(self, step, cycles, moved, stage_cycles=None) -> None:
-        if step != FILL_STEP:
-            self.steps += 1
-        self.cycles += cycles
-
-    def on_transfer(self, category, n_bytes) -> None:
-        self.transfer_events[category] = self.transfer_events.get(category, 0) + 1
-        self.transfer_bytes[category] = (
-            self.transfer_bytes.get(category, 0.0) + n_bytes
-        )
-
-    def on_evict(self, step, n_bytes) -> None:
-        self.evict_events += 1
-        self.evict_bytes += n_bytes
-
-    def on_repack(self, step) -> None:
-        self.repack_events += 1
-
-    def on_prefetch(self, step, n_bytes) -> None:
-        self.prefetch_events += 1
-        self.prefetch_bytes += n_bytes
+    def on_replay(self, batch: ReplayBatch) -> None:
+        # One in-order left fold per total, in step order, so every sum
+        # ends on the same float as the simulator's own accumulators.
+        counts, totals = self.transfer_events, self.transfer_bytes
+        for (step, cycles, prefetch, transfers, evict, repack,
+             _moved, _stages) in batch.steps:
+            if prefetch:
+                self.prefetch_events += 1
+                self.prefetch_bytes += prefetch
+            for cat, n_bytes in transfers:
+                counts[cat] = counts.get(cat, 0) + 1
+                totals[cat] = totals.get(cat, 0.0) + n_bytes
+            if evict:
+                self.evict_events += 1
+                self.evict_bytes += evict
+            if repack:
+                self.repack_events += 1
+            if step != FILL_STEP:
+                self.steps += 1
+            self.cycles += cycles
 
     def as_dict(self) -> Dict[str, float]:
         """Flat summary suitable for reports / JSON export."""
@@ -352,11 +261,13 @@ class CounterObserver(Observer):
         return out
 
 
-class DiagnosticsObserver(Observer):
+class DiagnosticsObserver:
     """Counts verifier diagnostics that surfaced (or were suppressed)
-    during a run, by severity and by code — a sweep over many workloads
-    can report lint health alongside its performance numbers instead of
-    silently discarding warnings.
+    during a sweep, by severity and by code — a sweep over many
+    workloads can report lint health alongside its performance numbers
+    instead of silently discarding warnings. The experiment runner
+    feeds it through :meth:`on_diagnostic`; it is not a simulator
+    observer.
 
     ``registry`` (any object with a ``counter(name).inc()`` interface,
     duck-typed to avoid an import cycle with :mod:`repro.obs.metrics`)
@@ -372,6 +283,8 @@ class DiagnosticsObserver(Observer):
         self.registry = registry
 
     def on_diagnostic(self, diag) -> None:
+        """Count one (possibly suppressed)
+        :class:`~repro.errors.Diagnostic`."""
         self.total += 1
         sev = diag.severity.value
         self.by_severity[sev] = self.by_severity.get(sev, 0) + 1
@@ -393,22 +306,23 @@ class DiagnosticsObserver(Observer):
 
 class EventLogObserver(Observer):
     """Records the raw ordered event stream as ``(kind, ...)`` tuples —
-    the ground truth for event-ordering tests and ad-hoc debugging."""
+    the ground truth for event-ordering tests and ad-hoc debugging.
+    Within a step the order is ``prefetch``, ``transfer``s in account
+    order, ``evict``, ``repack``, then the closing ``step``."""
 
     def __init__(self) -> None:
         self.events: List[Tuple] = []
 
-    def on_step(self, step, cycles, moved, stage_cycles=None) -> None:
-        self.events.append(("step", step, cycles, dict(moved)))
-
-    def on_transfer(self, category, n_bytes) -> None:
-        self.events.append(("transfer", category, n_bytes))
-
-    def on_evict(self, step, n_bytes) -> None:
-        self.events.append(("evict", step, n_bytes))
-
-    def on_repack(self, step) -> None:
-        self.events.append(("repack", step))
-
-    def on_prefetch(self, step, n_bytes) -> None:
-        self.events.append(("prefetch", step, n_bytes))
+    def on_replay(self, batch: ReplayBatch) -> None:
+        append = self.events.append
+        for (step, cycles, prefetch, transfers, evict, repack,
+             moved, _stages) in batch.steps:
+            if prefetch:
+                append(("prefetch", step, prefetch))
+            for cat, n_bytes in transfers:
+                append(("transfer", cat, n_bytes))
+            if evict:
+                append(("evict", step, evict))
+            if repack:
+                append(("repack", step))
+            append(("step", step, cycles, dict(moved)))

@@ -31,7 +31,7 @@ every produced or cache-served result carries a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -493,16 +493,19 @@ class ExperimentContext:
 
     def _amend_manifest(self, key: Tuple,
                         events: Sequence[Diagnostic]) -> None:
-        from dataclasses import replace
-
+        """Fold fault records into an already recorded point's manifest,
+        in memory and in the store, so a warm rerun reports them too."""
         manifest = self.manifests.get(key)
         if manifest is None:
             return
-        self.manifests[key] = replace(
+        manifest = replace(
             manifest,
             status="retried" if manifest.status == "ok" else manifest.status,
             faults=manifest.faults + tuple(d.as_dict() for d in events),
         )
+        self.manifests[key] = manifest
+        if self._disk is not None:
+            self._disk.put(*key, result=self._results[key], manifest=manifest)
 
     def speedup(
         self, workload_name: str, matrix_name: str, over: str,

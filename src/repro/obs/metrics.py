@@ -20,7 +20,7 @@ Two producers fill a registry:
 - :func:`registry_from_result` derives the schema from a final
   :class:`~repro.arch.stats.SimResult` — works for every registered
   architecture, no instrumentation required;
-- :class:`MetricsObserver` accumulates the same counters live from the
+- :class:`MetricsObserver` accumulates the same counters from the
   simulator event stream (:mod:`repro.engine.instrumentation`) — the
   conservation suite asserts the two can never drift.
 """
@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.stats import TRAFFIC_CATEGORIES, SimResult, TrafficBreakdown
-from repro.engine.instrumentation import FILL_STEP, Observer, ReplayBatch
+from repro.engine.instrumentation import Observer, ReplayBatch
 
 #: Default histogram bucket upper bounds (cycles), roughly exponential.
 DEFAULT_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0)
@@ -265,8 +265,8 @@ def registry_from_result(
 
 
 class MetricsObserver(Observer):
-    """Accumulates the metric schema live from the simulator's event
-    stream; :meth:`finalize` adds the result-derived gauges so the
+    """Accumulates the metric schema from the simulator's event stream;
+    :meth:`finalize` adds the result-derived gauges so the
     registry matches :func:`registry_from_result` on the shared names.
 
     Byte and cycle counters are incremented in exactly the order the
@@ -298,47 +298,16 @@ class MetricsObserver(Observer):
             s: reg.counter(f"pipeline.stall_cycles.{s}") for s in STAGE_KEYS
         }
 
-    # ------------------------------------------------------------------
-    # Event hooks
-    # ------------------------------------------------------------------
-    def on_step(self, step, cycles, moved, stage_cycles=None) -> None:
-        self._cycles.inc(cycles)
-        if step != FILL_STEP:
-            self._steps.inc()
-        self._step_hist.observe(cycles)
-        if stage_cycles:
-            for stage, busy in stage_cycles.items():
-                if stage in self._busy:
-                    self._busy[stage].inc(busy)
-                    self._stall[stage].inc(max(0.0, cycles - busy))
-
-    def on_transfer(self, category, n_bytes) -> None:
-        self._dram[category].inc(n_bytes)
-
-    def on_evict(self, step, n_bytes) -> None:
-        self._evict_events.inc()
-        self._evict_bytes.inc(n_bytes)
-
-    def on_repack(self, step) -> None:
-        self._repacks.inc()
-
-    def on_prefetch(self, step, n_bytes) -> None:
-        self._prefetch_events.inc()
-        self._prefetch_bytes.inc(n_bytes)
-
-    # ------------------------------------------------------------------
-    # Batched replay (vectorized backend)
-    # ------------------------------------------------------------------
     def on_replay(self, batch: ReplayBatch) -> None:
-        """Consume one synthesized batch wholesale, via its columns.
+        """Consume one batch wholesale, via its columns.
 
-        Float counters must end on the *same* float the per-event
-        ``inc`` chain produces, so every per-counter column is folded
-        with ``cumsum`` seeded by the current value — a strict in-order
-        left fold, never a re-associated grouping (columns include the
-        zero amounts the reference hooks skip; adding them is the float
-        identity). Pure event *counts* collapse to one addition (exact
-        for integers in float64).
+        Float counters must end on the *same* float as one ``inc`` per
+        event in step order, so every per-counter column is folded with
+        ``cumsum`` seeded by the current value — a strict in-order left
+        fold, never a re-associated grouping (kernel columns include
+        zero amounts for events that never fired; adding them is the
+        float identity). Pure event *counts* collapse to one addition
+        (exact for integers in float64).
         """
         cols = batch.column_data()
         fold = self._fold_counter

@@ -65,9 +65,9 @@ _STAGE_TRACK = {
 class TimelineObserver(Observer):
     """Builds the per-core/per-stage timeline of one simulated run.
 
-    Within-step events (transfer / prefetch / evict / repack) arrive
-    *before* their closing ``step`` event, so they are buffered and
-    stamped with the step's start cycle when it commits — the exported
+    Each step's events are stamped with the step's start cycle: its
+    pipeline span, its stage spans, a DRAM byte counter, then its
+    prefetch / evict / repack instants in firing order — the exported
     order is deterministic for a deterministic run.
     """
 
@@ -78,74 +78,17 @@ class TimelineObserver(Observer):
         self.bytes_by_category: Dict[str, float] = {
             c: 0.0 for c in TRAFFIC_CATEGORIES
         }
-        self._pending_moved: Dict[str, float] = {}
-        self._pending_instants: List[Dict[str, object]] = []
 
-    # ------------------------------------------------------------------
-    # Event hooks
-    # ------------------------------------------------------------------
-    def on_transfer(self, category, n_bytes) -> None:
-        self._pending_moved[category] = (
-            self._pending_moved.get(category, 0.0) + n_bytes
-        )
-        self.bytes_by_category[category] += n_bytes
-
-    def on_prefetch(self, step, n_bytes) -> None:
-        self._pending_instants.append(
-            self._instant("prefetch", "loaders", {"bytes": float(n_bytes)})
-        )
-
-    def on_evict(self, step, n_bytes) -> None:
-        self._pending_instants.append(
-            self._instant("evict", "buffer", {"bytes": float(n_bytes)})
-        )
-
-    def on_repack(self, step) -> None:
-        self._pending_instants.append(self._instant("repack", "buffer", {}))
-
-    def on_step(self, step, cycles, moved, stage_cycles=None) -> None:
-        start = self.total_cycles
-        name = "fill" if step == FILL_STEP else f"step {step}"
-        self.events.append(self._span(name, "pipeline", start, cycles, {
-            "step": int(step), "moved_bytes": float(sum(moved.values())),
-        }))
-        if stage_cycles:
-            for stage, busy in stage_cycles.items():
-                track = _STAGE_TRACK.get(stage)
-                if track is not None and busy > 0.0:
-                    self.events.append(
-                        self._span(stage, track, start, busy, {})
-                    )
-        if self._pending_moved or step != FILL_STEP:
-            counts = {c: self._pending_moved.get(c, 0.0)
-                      for c in TRAFFIC_CATEGORIES}
-            self.events.append({
-                "name": "dram bytes", "ph": "C", "ts": start,
-                "pid": TRACE_PID, "tid": TRACK_IDS["dram"],
-                "cat": "traffic", "args": counts,
-            })
-        for instant in self._pending_instants:
-            instant["ts"] = start
-            self.events.append(instant)
-        self._pending_moved = {}
-        self._pending_instants = []
-        self.total_cycles += cycles
-        if step != FILL_STEP:
-            self.steps += 1
-
-    # ------------------------------------------------------------------
-    # Batched replay (vectorized backend)
-    # ------------------------------------------------------------------
     def on_replay(self, batch: ReplayBatch) -> None:
-        """Consume one synthesized batch wholesale.
+        """Consume one batch wholesale.
 
-        The timestamp sequence is the same sequential ``total_cycles +=
-        cycles`` fold the per-event hooks perform — a seeded ``cumsum``,
-        never a re-associated base-plus-offset — so the exported
-        document is byte-identical to the reference stream's. The event
-        dicts built on a batch's first replay double as its template
-        (cached on the batch); later replays copy and restamp them
-        instead of rebuilding.
+        The timestamp sequence is a sequential ``total_cycles += cycles``
+        fold over the steps — a seeded ``cumsum``, never a re-associated
+        base-plus-offset — so the exported document is byte-identical
+        whichever backend produced the batch. The event dicts built on a
+        batch's first replay double as its template (cached on the
+        batch); later replays copy and restamp them instead of
+        rebuilding.
         """
         cols = batch.column_data()
         cyc = cols["cycles"]
@@ -165,8 +108,8 @@ class TimelineObserver(Observer):
                 events.append(ev)
         by_cat = self.bytes_by_category
         for cat, amounts in cols["dram"]:
-            # Same in-order adds as on_transfer; any zero amounts the
-            # hooks skip are the float-addition identity here.
+            # In-order adds of every fired transfer; zero amounts in a
+            # kernel column are the float-addition identity here.
             if amounts.size:
                 fold = np.empty(amounts.size + 1)
                 fold[0] = by_cat[cat]
@@ -239,26 +182,6 @@ class TimelineObserver(Observer):
                 tmpl.append((j, ev))
                 events.append(ev)
         return tmpl
-
-    # ------------------------------------------------------------------
-    # Event constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _span(name, track, ts, dur, args) -> Dict[str, object]:
-        return {
-            "name": name, "ph": "X", "ts": float(ts), "dur": float(dur),
-            "pid": TRACE_PID, "tid": TRACK_IDS[track], "cat": "sim",
-            "args": args,
-        }
-
-    @staticmethod
-    def _instant(name, track, args) -> Dict[str, object]:
-        # ts is stamped at flush time (step commit).
-        return {
-            "name": name, "ph": "i", "ts": 0.0, "s": "t",
-            "pid": TRACE_PID, "tid": TRACK_IDS[track], "cat": "sim",
-            "args": args,
-        }
 
     # ------------------------------------------------------------------
     # Export

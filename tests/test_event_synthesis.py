@@ -8,8 +8,9 @@ suite executes that claim:
 
 - golden grid: every registered workload on the ``gy`` matrix, flat
   and banked DRAM, comparing the serialized Chrome trace, the metrics
-  registry document and digest, the raw ordered event log (the
-  per-event ``dispatch`` path), and the ``SimResult`` itself;
+  registry document and digest, the raw ordered event log, the Fig 15
+  bandwidth samples, the event counters, the per-step pipeline
+  activity, and the ``SimResult`` itself;
 - a hypothesis property over random matrices and synthetic profiles
   with observers attached;
 - ``run_engine`` routing: the backend default comes from the config
@@ -27,9 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.config import SparsepipeConfig
+from repro.arch.pipeline_viz import PipelineActivityObserver
 from repro.arch.simulator import SparsepipeSimulator
 from repro.engine import registry
-from repro.engine.instrumentation import EventLogObserver
+from repro.engine.instrumentation import (
+    CounterObserver,
+    EventLogObserver,
+    StepTraceObserver,
+)
 from repro.errors import ConfigError
 from repro.experiments.runner import ExperimentContext
 from repro.matrices.suite import SUITE
@@ -45,15 +51,24 @@ def context():
     return ExperimentContext()
 
 
+#: Everything ``observed_artifacts`` returns that both backends must
+#: reproduce exactly.
+ARTIFACTS = ("result", "trace", "metrics", "digest", "events",
+             "samples", "counters", "activity")
+
+
 def observed_artifacts(config, profile, prep, paper_nnz=None):
     """One observed run -> everything the byte-identity claim covers."""
     timeline = TimelineObserver()
     metrics = MetricsObserver()
     log = EventLogObserver()
+    steps = StepTraceObserver()
+    counter = CounterObserver()
+    activity = PipelineActivityObserver()
     sim = SparsepipeSimulator(config)
     result = sim.run(
         profile, prep, paper_nnz=paper_nnz,
-        observers=(timeline, metrics, log),
+        observers=(timeline, metrics, log, steps, counter, activity),
     )
     registry_ = metrics.finalize(result)
     trace = timeline.to_chrome_trace()
@@ -64,6 +79,9 @@ def observed_artifacts(config, profile, prep, paper_nnz=None):
         "metrics": registry_.to_dict(),
         "digest": registry_.digest(),
         "events": log.events,
+        "samples": steps.samples(config.bytes_per_cycle),
+        "counters": counter.as_dict(),
+        "activity": activity.steps,
         "backend": sim.last_backend,
     }
 
@@ -91,7 +109,7 @@ class TestGoldenByteIdentity:
                 profile, prep, paper_nnz=nnz,
             )
             assert vec["backend"] == "vectorized", workload
-            for artifact in ("result", "trace", "metrics", "digest", "events"):
+            for artifact in ARTIFACTS:
                 assert ref[artifact] == vec[artifact], (
                     f"{workload}: {artifact} differs"
                 )
@@ -122,7 +140,7 @@ class TestPropertySynthesis:
         ]
         ref, vec = artifacts
         assert vec["backend"] == "vectorized"
-        for artifact in ("result", "trace", "metrics", "digest", "events"):
+        for artifact in ARTIFACTS:
             assert ref[artifact] == vec[artifact], f"{artifact} differs"
 
 

@@ -8,9 +8,9 @@ on; this file turns each promise into a test:
    prefetch / evict / repack is flushed before its step commits;
 2. ``FILL_STEP`` fires exactly once per OEI pair (and once per
    single-iteration stream tail);
-3. with **no observers registered the simulator constructs no events
-   at all** — the zero-observer fast path really is event-free, not
-   merely event-discarding.
+3. with **no observers registered neither backend constructs a
+   batch at all** — the zero-observer fast path really is event-free,
+   not merely event-discarding.
 """
 
 import numpy as np
@@ -18,12 +18,14 @@ import pytest
 
 from repro.arch.config import SparsepipeConfig
 from repro.arch.profile import WorkloadProfile
+from repro.arch import fastpath as fastpath_module
 from repro.arch import simulator as simulator_module
 from repro.arch.simulator import SparsepipeSimulator
 from repro.engine.instrumentation import (
     FILL_STEP,
     EventLogObserver,
     Instrumentation,
+    ReplayBatch,
 )
 from repro.formats.coo import COOMatrix
 
@@ -104,61 +106,62 @@ class TestFillStepContract:
 
 
 class _CountingInstrumentation(Instrumentation):
-    """Counts every event-dispatch call the simulator makes."""
+    """Counts every batch the simulator hands its observers."""
 
     calls = 0
 
-    def step(self, *args, **kwargs):
+    def replay(self, batch):
         _CountingInstrumentation.calls += 1
-        super().step(*args, **kwargs)
-
-    def transfer(self, *args, **kwargs):
-        _CountingInstrumentation.calls += 1
-        super().transfer(*args, **kwargs)
-
-    def evict(self, *args, **kwargs):
-        _CountingInstrumentation.calls += 1
-        super().evict(*args, **kwargs)
-
-    def repack(self, *args, **kwargs):
-        _CountingInstrumentation.calls += 1
-        super().repack(*args, **kwargs)
-
-    def prefetch(self, *args, **kwargs):
-        _CountingInstrumentation.calls += 1
-        super().prefetch(*args, **kwargs)
+        super().replay(batch)
 
 
+class _CountingBatch(ReplayBatch):
+    """Counts every batch either backend builds."""
+
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        _CountingBatch.built += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    monkeypatch.setattr(
+        simulator_module, "Instrumentation", _CountingInstrumentation
+    )
+    monkeypatch.setattr(simulator_module, "ReplayBatch", _CountingBatch)
+    monkeypatch.setattr(fastpath_module, "ReplayBatch", _CountingBatch)
+    _CountingInstrumentation.calls = 0
+    _CountingBatch.built = 0
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
 class TestZeroObserverFastPath:
-    def test_no_events_constructed_without_observers(self, monkeypatch):
-        monkeypatch.setattr(
-            simulator_module, "Instrumentation", _CountingInstrumentation
-        )
-        _CountingInstrumentation.calls = 0
-        SparsepipeSimulator(SparsepipeConfig()).run(
-            _profile(4), _coo(), observers=()
-        )
+    def test_no_events_constructed_without_observers(self, counting, backend):
+        sim = SparsepipeSimulator(SparsepipeConfig(backend=backend))
+        sim.run(_profile(4), _coo(), observers=())
+        assert sim.last_backend == backend
         assert _CountingInstrumentation.calls == 0
+        assert _CountingBatch.built == 0
 
-    def test_counting_shim_detects_observed_runs(self, monkeypatch):
-        """The shim itself is live: with one observer the counter
-        moves, so the zero above is meaningful."""
-        monkeypatch.setattr(
-            simulator_module, "Instrumentation", _CountingInstrumentation
-        )
-        _CountingInstrumentation.calls = 0
-        SparsepipeSimulator(SparsepipeConfig()).run(
+    def test_counting_shim_detects_observed_runs(self, counting, backend):
+        """The shim itself is live: with one observer the counters
+        move, so the zeros above are meaningful."""
+        SparsepipeSimulator(SparsepipeConfig(backend=backend)).run(
             _profile(4), _coo(), observers=[EventLogObserver()]
         )
         assert _CountingInstrumentation.calls > 0
+        assert _CountingBatch.built > 0
 
-    def test_zero_observer_result_is_bit_identical(self):
+    def test_zero_observer_result_is_bit_identical(self, backend):
         """Attaching (or omitting) observers never changes the model:
         the observed and fast-path results agree exactly."""
-        observed = SparsepipeSimulator(SparsepipeConfig()).run(
+        config = SparsepipeConfig(backend=backend)
+        observed = SparsepipeSimulator(config).run(
             _profile(4), _coo(), observers=[EventLogObserver()]
         )
-        bare = SparsepipeSimulator(SparsepipeConfig()).run(
+        bare = SparsepipeSimulator(config).run(
             _profile(4), _coo(), observers=()
         )
         assert bare.cycles == observed.cycles

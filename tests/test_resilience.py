@@ -390,8 +390,8 @@ class TestSimulateManyPolicies:
             assert any(f.get("code") == "SP603" for f in manifest.faults)
         assert ctx.metrics.counter("resilience.failures").value == 2
 
-    def test_retry_recovers_and_marks_manifest(self):
-        ctx = ExperimentContext(on_error="retry")
+    def test_retry_recovers_and_marks_manifest(self, tmp_path):
+        ctx = ExperimentContext(on_error="retry", cache_dir=tmp_path)
         baseline = ExperimentContext().simulate_many(self.POINTS)
         with activate(self.PLAN):
             results = ctx.simulate_many(self.POINTS)
@@ -401,6 +401,16 @@ class TestSimulateManyPolicies:
             assert manifest.status == "retried"
             assert any(f.get("code") == "SP602" for f in manifest.faults)
         assert ctx.metrics.counter("resilience.retries").value == 2
+        # The store keeps the amended manifest: a warm rerun from a
+        # fresh context still reports the retry and its fault records.
+        warm = ExperimentContext(cache_dir=tmp_path)
+        assert warm.simulate_many(self.POINTS) == baseline
+        assert warm.metrics.counter("cache.disk_hits").value == 2
+        for point in self.POINTS:
+            manifest = warm.manifest(*point)
+            assert manifest.from_cache
+            assert manifest.status == "retried"
+            assert manifest.faults == ctx.manifest(*point).faults
 
     def test_raise_policy_is_default(self):
         with activate(self.PLAN):
