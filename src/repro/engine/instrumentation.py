@@ -77,7 +77,8 @@ class ReplayBatch:
     ``memory``) and is ``None`` for fill charges. Batches are memoized by the
     vectorized backend (one per kernel) and replayed once per
     iteration, so ``cache`` gives observers a stable home for derived
-    templates keyed by consumer (``batch.cache["timeline"]`` etc.).
+    templates keyed by consumer (``batch.cache["timeline"]`` holds the
+    timeline's pre-rendered event text, etc.).
 
     ``columns`` is the same event stream as per-counter float64 arrays
     (see :meth:`column_data`) so numeric observers can fold whole

@@ -102,7 +102,9 @@ def suite_names() -> List[str]:
 
 @lru_cache(maxsize=None)
 def load_suite_matrix(name: str) -> COOMatrix:
-    """Build (and cache) the scaled analog of a Table-I matrix."""
+    """The scaled analog of a Table-I matrix, built on the first call
+    per name and process; later calls return that same cached
+    :class:`COOMatrix` (shared, so callers must not mutate it)."""
     if name not in SUITE:
         raise ConfigError(f"unknown suite matrix {name!r}; available: {suite_names()}")
     return SUITE[name].build()

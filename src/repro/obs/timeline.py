@@ -11,8 +11,13 @@ instants (Fig 15d's ping-pong). Timestamps are **simulated cycles**
 construction because the cursor only ever advances by each committed
 step's duration.
 
-``to_chrome_trace()`` emits the Trace Event Format JSON that both
-``chrome://tracing`` and https://ui.perfetto.dev load directly;
+Events are held as their final JSON text: each kernel's events are
+rendered once, through one format string per event shape, and every
+later iteration only stamps in its timestamps. ``write()`` streams that
+text as the Trace Event Format JSON that both ``chrome://tracing`` and
+https://ui.perfetto.dev load directly — byte for byte what
+``json.dumps(doc, sort_keys=True, indent=1)`` gives for the document —
+and ``to_chrome_trace()`` parses it back into the dict view;
 :func:`validate_chrome_trace` is the schema check the test suite (and
 CI) run over every exported document.
 """
@@ -20,8 +25,10 @@ CI) run over every exported document.
 from __future__ import annotations
 
 import json
+import re
+from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,17 +69,118 @@ _STAGE_TRACK = {
 }
 
 
+# ----------------------------------------------------------------------
+# Event text: json's own leaf encoders and one format string per shape
+# ----------------------------------------------------------------------
+_INF = float("inf")
+
+
+def _float_text(value: object) -> str:
+    """``json``'s text for a float leaf: ``float.__repr__`` after
+    ``float()`` (a ``numpy.float64`` or an int renders as the float it
+    stands for), with json's ``NaN`` / ``Infinity`` spellings."""
+    x = float(value)
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _shape(**event: object) -> str:
+    """The format string of one event shape: the exact text
+    ``json.dumps(..., sort_keys=True, indent=1)`` gives ``event`` as an
+    item of the document's event list (depth 2), cut after ``"ts": ``
+    (``ts`` sorts last among every event's keys). Each ``None`` field
+    is a ``%s`` slot, filled in the text's sorted-key order. A slot's
+    bare ``null`` is followed by a line break; one inside a string
+    never is, because json escapes line breaks in strings."""
+    text = json.dumps(dict(event, ts=None), sort_keys=True, indent=1)
+    text = "  " + text.replace("%", "%%").replace("\n", "\n  ")
+    return re.sub(r"null(?=,?\n)", "%s", text[:text.rindex("null")])
+
+
+#: Pipeline step span. Slots: moved_bytes, step, dur, name.
+_STEP = _shape(name=None, ph="X", dur=None, pid=TRACE_PID,
+               tid=TRACK_IDS["pipeline"], cat="sim",
+               args={"step": None, "moved_bytes": None})
+#: Stage busy span, per mapped stage key. Slot: dur.
+_STAGE = {
+    stage: _shape(name=stage, ph="X", dur=None, pid=TRACE_PID,
+                  tid=TRACK_IDS[track], cat="sim", args={})
+    for stage, track in _STAGE_TRACK.items()
+}
+#: DRAM byte counter. Slots: one per category, in sorted order.
+_DRAM_SLOTS = tuple(sorted(TRAFFIC_CATEGORIES))
+_DRAM = _shape(name="dram bytes", ph="C", pid=TRACE_PID,
+               tid=TRACK_IDS["dram"], cat="traffic",
+               args=dict.fromkeys(TRAFFIC_CATEGORIES))
+#: Loader and buffer instants. Slot: bytes (repack has none).
+_PREFETCH = _shape(name="prefetch", ph="i", s="t", pid=TRACE_PID,
+                   tid=TRACK_IDS["loaders"], cat="sim",
+                   args={"bytes": None})
+_EVICT = _shape(name="evict", ph="i", s="t", pid=TRACE_PID,
+                tid=TRACK_IDS["buffer"], cat="sim", args={"bytes": None})
+_REPACK = _shape(name="repack", ph="i", s="t", pid=TRACE_PID,
+                 tid=TRACK_IDS["buffer"], cat="sim", args={}) % ()
+#: What follows an event's ``ts`` value: its closing brace.
+_CLOSE = "\n  }"
+
+
+def _render(steps: Sequence[tuple]) -> List[Tuple[int, str]]:
+    """A batch's template: one ``(step_index, prefix)`` pair per event,
+    in export order, where ``prefix`` is the event's exact text up to
+    its ``ts`` value.
+
+    Per step: its pipeline span, its stage spans, a DRAM byte counter,
+    then its instants in arrival order — the loop fires prefetch before
+    transfers, evict after them, repack last.
+    """
+    tmpl: List[Tuple[int, str]] = []
+    add = tmpl.append
+    for j, (step, cycles, prefetch, transfers, evict, repack,
+            moved, stage_cycles) in enumerate(steps):
+        fill = step == FILL_STEP
+        add((j, _STEP % (
+            _float_text(sum(moved.values())), int.__repr__(int(step)),
+            _float_text(cycles),
+            _str_text("fill" if fill else f"step {step}"),
+        )))
+        if stage_cycles:
+            for stage, busy in stage_cycles.items():
+                shape = _STAGE.get(stage)
+                if shape is not None and busy > 0.0:
+                    add((j, shape % _float_text(busy)))
+        if transfers or not fill:
+            pending: Dict[str, float] = {}
+            for cat, val in transfers:
+                pending[cat] = pending.get(cat, 0.0) + val
+            add((j, _DRAM % tuple(
+                _float_text(pending.get(c, 0.0)) for c in _DRAM_SLOTS
+            )))
+        if prefetch:
+            add((j, _PREFETCH % _float_text(prefetch)))
+        if evict:
+            add((j, _EVICT % _float_text(evict)))
+        if repack:
+            add((j, _REPACK))
+    return tmpl
+
+
 class TimelineObserver(Observer):
     """Builds the per-core/per-stage timeline of one simulated run.
 
     Each step's events are stamped with the step's start cycle: its
     pipeline span, its stage spans, a DRAM byte counter, then its
     prefetch / evict / repack instants in firing order — the exported
-    order is deterministic for a deterministic run.
+    order is deterministic for a deterministic run. ``events`` holds
+    one exact JSON text per exported event (metadata events aside).
     """
 
     def __init__(self) -> None:
-        self.events: List[Dict[str, object]] = []
+        self.events: List[str] = []
         self.total_cycles = 0.0
         self.steps = 0
         self.bytes_by_category: Dict[str, float] = {
@@ -85,10 +193,10 @@ class TimelineObserver(Observer):
         The timestamp sequence is a sequential ``total_cycles += cycles``
         fold over the steps — a seeded ``cumsum``, never a re-associated
         base-plus-offset — so the exported document is byte-identical
-        whichever backend produced the batch. The event dicts built on a
-        batch's first replay double as its template (cached on the
-        batch); later replays copy and restamp them instead of
-        rebuilding.
+        whichever backend produced the batch. A batch's events are
+        rendered once, on its first replay, into ``(step_index,
+        prefix)`` pairs cached on the batch; every replay appends
+        ``prefix + ts + "\\n  }"`` per event.
         """
         cols = batch.column_data()
         cyc = cols["cycles"]
@@ -96,16 +204,11 @@ class TimelineObserver(Observer):
         buf[0] = self.total_cycles
         buf[1:] = cyc
         ends = buf.cumsum().tolist()
-        events = self.events
         tmpl = batch.cache.get("timeline")
         if tmpl is None:
-            tmpl = self._first_replay(batch, ends, events)
-            batch.cache["timeline"] = tmpl
-        else:
-            for j, proto in tmpl:
-                ev = dict(proto)
-                ev["ts"] = ends[j]
-                events.append(ev)
+            tmpl = batch.cache["timeline"] = _render(batch.steps)
+        stamps = [_float_text(t) + _CLOSE for t in ends]
+        self.events += [prefix + stamps[j] for j, prefix in tmpl]
         by_cat = self.bytes_by_category
         for cat, amounts in cols["dram"]:
             # In-order adds of every fired transfer; zero amounts in a
@@ -117,71 +220,6 @@ class TimelineObserver(Observer):
                 by_cat[cat] = float(fold.cumsum()[-1])
         self.total_cycles = ends[-1]
         self.steps += cols["n_real"]
-
-    def _first_replay(self, batch: ReplayBatch, ends: List[float],
-                      events: List[Dict[str, object]]) -> list:
-        """Build the batch's events directly into ``events`` (stamped
-        with this observer's cursor) while recording ``(step_index,
-        event)`` template pairs for later replays to copy."""
-        tmpl: List = []
-        pid, tids = TRACE_PID, TRACK_IDS
-        for j, (step, cycles, prefetch, transfers, evict, repack,
-                moved, stage_cycles) in enumerate(batch.steps):
-            start = ends[j]
-            fill = step == FILL_STEP
-            ev: Dict[str, object] = {
-                "name": "fill" if fill else f"step {step}",
-                "ph": "X", "ts": start, "dur": float(cycles), "pid": pid,
-                "tid": tids["pipeline"], "cat": "sim",
-                "args": {"step": int(step),
-                         "moved_bytes": float(sum(moved.values()))},
-            }
-            tmpl.append((j, ev))
-            events.append(ev)
-            if stage_cycles:
-                for stage, busy in stage_cycles.items():
-                    track = _STAGE_TRACK.get(stage)
-                    if track is not None and busy > 0.0:
-                        ev = {
-                            "name": stage, "ph": "X", "ts": start,
-                            "dur": float(busy), "pid": pid,
-                            "tid": tids[track], "cat": "sim", "args": {},
-                        }
-                        tmpl.append((j, ev))
-                        events.append(ev)
-            if transfers or not fill:
-                pending: Dict[str, float] = {}
-                for cat, val in transfers:
-                    pending[cat] = pending.get(cat, 0.0) + val
-                ev = {
-                    "name": "dram bytes", "ph": "C", "ts": start,
-                    "pid": pid, "tid": tids["dram"], "cat": "traffic",
-                    "args": {c: pending.get(c, 0.0)
-                             for c in TRAFFIC_CATEGORIES},
-                }
-                tmpl.append((j, ev))
-                events.append(ev)
-            # Instants flush in arrival order: the loop fires prefetch
-            # before transfers, evict after them, repack last.
-            if prefetch:
-                ev = {"name": "prefetch", "ph": "i", "ts": start,
-                      "s": "t", "pid": pid, "tid": tids["loaders"],
-                      "cat": "sim", "args": {"bytes": float(prefetch)}}
-                tmpl.append((j, ev))
-                events.append(ev)
-            if evict:
-                ev = {"name": "evict", "ph": "i", "ts": start, "s": "t",
-                      "pid": pid, "tid": tids["buffer"], "cat": "sim",
-                      "args": {"bytes": float(evict)}}
-                tmpl.append((j, ev))
-                events.append(ev)
-            if repack:
-                ev = {"name": "repack", "ph": "i", "ts": start, "s": "t",
-                      "pid": pid, "tid": tids["buffer"], "cat": "sim",
-                      "args": {}}
-                tmpl.append((j, ev))
-                events.append(ev)
-        return tmpl
 
     # ------------------------------------------------------------------
     # Export
@@ -203,10 +241,14 @@ class TimelineObserver(Observer):
             })
         return out
 
-    def to_chrome_trace(
-        self, manifest: Optional[object] = None
-    ) -> Dict[str, object]:
-        """The full Trace Event Format document.
+    def _text(self, manifest: Optional[object]) -> Tuple[str, ...]:
+        """The document's JSON text, in pieces.
+
+        ``json.dumps`` renders the head — ``displayTimeUnit``, the
+        ``metadata`` object and the metadata events; ``traceEvents``
+        sorts last, so that text ends with the event list's closing
+        ``"\\n ]\\n}"``, and the replayed events' text goes in just
+        before it.
 
         ``manifest`` (a :class:`~repro.obs.manifest.RunManifest`)
         embeds its *stable* fields — never wall-time — so the document
@@ -220,19 +262,32 @@ class TimelineObserver(Observer):
         if manifest is not None:
             metadata["manifest"] = manifest.stable_dict()
             metadata["manifestDigest"] = manifest.digest()
-        return {
-            "traceEvents": self._metadata_events() + self.events,
+        head = json.dumps({
+            "traceEvents": self._metadata_events(),
             "displayTimeUnit": "ns",
             "metadata": metadata,
-        }
+        }, sort_keys=True, indent=1)
+        if not self.events:
+            return (head,)
+        cut = head.rindex("\n ]\n}")
+        return head[:cut], ",\n", ",\n".join(self.events), head[cut:]
+
+    def to_chrome_trace(
+        self, manifest: Optional[object] = None
+    ) -> Dict[str, object]:
+        """The full Trace Event Format document, parsed from the exact
+        text :meth:`write` writes (so the two cannot disagree)."""
+        return json.loads("".join(self._text(manifest)))
 
     def write(
         self, path: Union[str, Path], manifest: Optional[object] = None
     ) -> Path:
-        """Write the trace JSON deterministically (sorted keys)."""
+        """Write the trace JSON deterministically: the bytes of
+        ``json.dumps(self.to_chrome_trace(manifest), sort_keys=True,
+        indent=1)``, streamed from the pre-rendered event text."""
         path = Path(path)
-        doc = self.to_chrome_trace(manifest)
-        path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        with path.open("w", encoding="utf-8") as f:
+            f.writelines(self._text(manifest))
         return path
 
 

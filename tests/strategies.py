@@ -12,8 +12,11 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.arch.stats import TRAFFIC_CATEGORIES
 from repro.dataflow.program import EWiseInstr, OEIProgram, Operand, OperandKind
+from repro.engine.instrumentation import FILL_STEP, ReplayBatch
 from repro.formats.coo import COOMatrix
+from repro.obs.manifest import RunManifest
 from repro.semiring import MONOIDS
 
 #: Finite floats bounded away from overflow — the shared numeric domain
@@ -161,4 +164,89 @@ def random_programs(draw):
         scalar_names=("s0",) if scalar_used else (),
         n_registers=n_instr,
         has_oei=True,
+    )
+
+
+#: Float leaves the trace writer must render exactly as ``json`` does:
+#: signed zeros, the smallest subnormal, huge magnitudes and the
+#: non-finite values ``json`` spells ``NaN`` / ``Infinity``.
+TRACE_FLOATS = (0.0, -0.0, 5e-324, 1e300, -1e300, 0.1, np.nan, np.inf,
+                -np.inf)
+
+#: ``stage_cycles`` keys: the five the timeline maps to tracks, plus
+#: one it does not.
+TRACE_STAGES = ("os", "ewise", "is", "extra", "memory", "decode")
+
+
+def trace_leaves():
+    """Numeric event fields: the edge floats, any bounded float, the
+    same as ``numpy.float64`` (what the reference loop hands over), and
+    ints past 2**64 (the reference loop reports some stage cycles as
+    ints)."""
+    floats = st.floats(-1e300, 1e300)
+    return st.one_of(
+        st.sampled_from(TRACE_FLOATS),
+        floats,
+        floats.map(np.float64),
+        st.integers(-2**70, 2**70),
+    )
+
+
+@st.composite
+def replay_records(draw):
+    """One :class:`ReplayBatch` step record, a fill charge or a real
+    step with an arbitrary (possibly empty) stage breakdown."""
+    leaf = trace_leaves()
+    maybe = st.one_of(st.just(0.0), leaf)
+    fill = draw(st.booleans())
+    return (
+        FILL_STEP if fill else draw(st.integers(0, 2**70)),
+        draw(leaf),
+        draw(maybe),
+        tuple(draw(st.lists(
+            st.tuples(st.sampled_from(TRAFFIC_CATEGORIES), leaf),
+            max_size=3,
+        ))),
+        draw(maybe),
+        draw(st.booleans()),
+        draw(st.dictionaries(st.sampled_from(TRAFFIC_CATEGORIES), leaf)),
+        None if fill else draw(
+            st.dictionaries(st.sampled_from(TRACE_STAGES), leaf)),
+    )
+
+
+@st.composite
+def replay_streams(draw, max_batches: int = 3, max_steps: int = 4):
+    """A synthetic event stream: batches in replay order, where a
+    batch may come back, as a memoized kernel's does once per
+    iteration."""
+    batches = [
+        ReplayBatch(draw(st.lists(replay_records(), max_size=max_steps)))
+        for _ in range(draw(st.integers(1, max_batches)))
+    ]
+    order = st.integers(0, len(batches) - 1)
+    return [batches[i] for i in draw(st.lists(order, max_size=6))]
+
+
+#: Strings ``json`` must escape: quotes, backslashes, control and
+#: non-ASCII characters.
+escaped_text = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\u00e9\u2603\u2028'), st.characters()),
+    max_size=8,
+)
+
+
+@st.composite
+def run_manifests(draw):
+    """A :class:`RunManifest` whose strings need escaping."""
+    return RunManifest(
+        arch=draw(escaped_text),
+        workload=draw(escaped_text),
+        matrix=draw(escaped_text),
+        config_key=draw(escaped_text),
+        reorder=draw(st.one_of(st.none(), escaped_text)),
+        block_size=draw(st.one_of(st.none(), st.integers(1, 2**70))),
+        code_version=draw(escaped_text),
+        metrics_digest=draw(escaped_text),
+        seed=draw(st.one_of(st.none(), st.integers(0, 2**31 - 1))),
     )

@@ -3,18 +3,37 @@
 Locks the externally visible artifacts of the observability layer:
 the Chrome/Perfetto trace JSON validates against the Trace Event
 Format contract, reruns of one configuration are **byte-identical**,
-and manifests distinguish fresh results from cache-served ones while
+the written file is exactly ``json.dumps(..., sort_keys=True,
+indent=1)``'s text of its document (on real runs, and against a
+dict-building reference renderer on synthetic event streams), and
+manifests distinguish fresh results from cache-served ones while
 keeping the same stable digest.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arch.config import SparsepipeConfig
+from repro.arch.simulator import SparsepipeSimulator
+from repro.arch.stats import TRAFFIC_CATEGORIES
+from repro.engine.instrumentation import FILL_STEP
 from repro.experiments.runner import ExperimentContext
+from repro.matrices.suite import SUITE
 from repro.obs import (
     RunManifest,
     capture_run,
     validate_chrome_trace,
 )
+from repro.obs.manifest import build_manifest
+from repro.obs.metrics import MetricsObserver
+from repro.obs.timeline import TRACE_PID, TRACK_IDS, TimelineObserver
+from tests.strategies import replay_streams, run_manifests
 
 
 class TestChromeTraceExport:
@@ -101,3 +120,134 @@ class TestCacheProvenance:
         served = again.simulate("sparsepipe", "bfs", "gy")
         assert served.cycles == fresh.cycles
         assert served.traffic.bytes_by_category == fresh.traffic.bytes_by_category
+
+
+#: Observed-run variants: flat and banked DRAM, plus a 20 kB buffer
+#: that spills on ``gy`` (so evict events get written too).
+WRITER_VARIANTS = {
+    "flat": {},
+    "banked": {"detailed_dram": True},
+    "tight": {"buffer_bytes": 20000},
+}
+
+
+@pytest.fixture(scope="module")
+def context():
+    return ExperimentContext()
+
+
+class TestWrittenBytes:
+    """The bytes ``write`` streams from pre-rendered event text are
+    ``json.dumps``'s own text of the document they parse to."""
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("variant", sorted(WRITER_VARIANTS))
+    def test_every_workload_writes_canonical_json(
+        self, context, tmp_path, variant, backend
+    ):
+        matrix = "gy"
+        config = SparsepipeConfig(backend=backend, **WRITER_VARIANTS[variant])
+        for workload in context.all_workloads():
+            timeline, metrics = TimelineObserver(), MetricsObserver()
+            result = SparsepipeSimulator(config).run(
+                context.profile(workload, matrix), context.prepared(matrix),
+                paper_nnz=SUITE[matrix].paper_nnz,
+                observers=(timeline, metrics),
+            )
+            manifest = build_manifest(
+                "sparsepipe", workload, matrix, config, context.reorder,
+                context.block_size, registry=metrics.finalize(result),
+                seed=0,
+            )
+            path = timeline.write(tmp_path / f"{workload}.json",
+                                  manifest=manifest)
+            data = path.read_bytes()
+            expected = json.dumps(timeline.to_chrome_trace(manifest),
+                                  sort_keys=True, indent=1)
+            assert data == expected.encode("ascii"), workload
+            events = json.loads(data)["traceEvents"]
+            assert len(timeline.events) == sum(
+                ev["ph"] != "M" for ev in events), workload
+
+
+def reference_document(stream, manifest):
+    """The trace document of ``stream`` built as dicts, event by event
+    — the renderer's reference."""
+    events = []
+    total, steps = 0.0, 0
+    pid, tids = TRACE_PID, TRACK_IDS
+    stage_tracks = {"os": "os", "ewise": "ewise", "is": "is",
+                    "extra": "extra", "memory": "dram"}
+    for batch in stream:
+        for (step, cycles, prefetch, transfers, evict, repack,
+             moved, stage_cycles) in batch.steps:
+            start, fill = total, step == FILL_STEP
+            total = total + float(cycles)
+            steps += not fill
+            events.append({
+                "name": "fill" if fill else f"step {step}",
+                "ph": "X", "ts": start, "dur": float(cycles), "pid": pid,
+                "tid": tids["pipeline"], "cat": "sim",
+                "args": {"step": int(step),
+                         "moved_bytes": float(sum(moved.values()))},
+            })
+            for stage, busy in (stage_cycles or {}).items():
+                if stage in stage_tracks and busy > 0.0:
+                    events.append({
+                        "name": stage, "ph": "X", "ts": start,
+                        "dur": float(busy), "pid": pid,
+                        "tid": tids[stage_tracks[stage]], "cat": "sim",
+                        "args": {},
+                    })
+            if transfers or not fill:
+                pending = {}
+                for cat, val in transfers:
+                    pending[cat] = pending.get(cat, 0.0) + val
+                events.append({
+                    "name": "dram bytes", "ph": "C", "ts": start,
+                    "pid": pid, "tid": tids["dram"], "cat": "traffic",
+                    "args": {c: pending.get(c, 0.0)
+                             for c in TRAFFIC_CATEGORIES},
+                })
+            for name, amount, track in (("prefetch", prefetch, "loaders"),
+                                        ("evict", evict, "buffer")):
+                if amount:
+                    events.append({
+                        "name": name, "ph": "i", "ts": start, "s": "t",
+                        "pid": pid, "tid": tids[track], "cat": "sim",
+                        "args": {"bytes": float(amount)},
+                    })
+            if repack:
+                events.append({
+                    "name": "repack", "ph": "i", "ts": start, "s": "t",
+                    "pid": pid, "tid": tids["buffer"], "cat": "sim",
+                    "args": {},
+                })
+    metadata = {"tsUnit": "cycles", "totalCycles": total, "steps": steps}
+    if manifest is not None:
+        metadata["manifest"] = manifest.stable_dict()
+        metadata["manifestDigest"] = manifest.digest()
+    return {
+        "traceEvents": TimelineObserver()._metadata_events() + events,
+        "displayTimeUnit": "ns",
+        "metadata": metadata,
+    }
+
+
+class TestRendererProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(stream=replay_streams(),
+           manifest=st.one_of(st.none(), run_manifests()))
+    def test_written_text_matches_json_dumps(self, stream, manifest):
+        timeline = TimelineObserver()
+        # Synthetic streams fold infinities of both signs into NaN.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for batch in stream:
+                timeline.on_replay(batch)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = timeline.write(Path(tmp) / "trace.json",
+                                  manifest=manifest)
+            text = path.read_text(encoding="ascii")
+        expected = reference_document(stream, manifest)
+        assert text == json.dumps(expected, sort_keys=True, indent=1)
+        assert len(timeline.events) == len(expected["traceEvents"]) - 9

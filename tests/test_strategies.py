@@ -3,12 +3,15 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.arch.stats import TRAFFIC_CATEGORIES
 from repro.dataflow.program import OEIProgram
+from repro.engine.instrumentation import FILL_STEP
 from repro.semiring import MONOIDS, SEMIRINGS
 from tests.strategies import (
     COO_DTYPES,
     SAFE_BINARY,
     SAFE_SEMIRINGS,
+    TRACE_STAGES,
     booleans,
     dims,
     finite,
@@ -16,6 +19,8 @@ from tests.strategies import (
     monoid_names,
     random_programs,
     raw_coo,
+    replay_streams,
+    run_manifests,
     seeds,
     subtensor_widths,
 )
@@ -112,3 +117,23 @@ def test_raw_coo_is_in_range_and_aligned(entry):
     if rows.size:
         assert 0 <= rows.min() and rows.max() < nrows
         assert 0 <= cols.min() and cols.max() < ncols
+
+
+@settings(max_examples=40, deadline=None)
+@given(replay_streams())
+def test_replay_streams_hold_well_formed_records(stream):
+    for batch in stream:
+        for (step, _cycles, _pref, transfers, _evict, repack,
+             moved, stage_cycles) in batch.steps:
+            assert step == FILL_STEP or step >= 0
+            assert (stage_cycles is None) == (step == FILL_STEP)
+            assert set(stage_cycles or ()) <= set(TRACE_STAGES)
+            assert {c for c, _ in transfers} | set(moved) <= set(
+                TRAFFIC_CATEGORIES)
+            assert isinstance(repack, bool)
+
+
+@settings(max_examples=20, deadline=None)
+@given(run_manifests())
+def test_run_manifests_digest(manifest):
+    assert len(manifest.digest()) == 16
