@@ -133,9 +133,23 @@ class SparsepipeConfig:
         and interpreter runs (unlike ``hash()``/``id()``), so this is
         the key the experiment caches and the on-disk result cache
         share.
+
+        Computed once per instance: the config is frozen, so the key
+        is memoized in the instance ``__dict__`` (not a field, so
+        ``asdict``, ``==``, ``hash`` and ``repr`` never see it, and
+        :meth:`__getstate__` keeps it out of pickles).
         """
-        doc = json.dumps(asdict(self), sort_keys=True, default=float)
-        return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            doc = json.dumps(asdict(self), sort_keys=True, default=float)
+            key = hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_cache_key", key)
+        return key
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_cache_key", None)
+        return state
 
     def with_memory(self, memory: MemoryConfig) -> "SparsepipeConfig":
         """The iso-CPU / iso-GPU variants of Table II."""

@@ -9,8 +9,8 @@ description of the work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Tuple
 
 from repro.dataflow.program import OEIProgram
 from repro.errors import ConfigError
@@ -80,6 +80,16 @@ class WorkloadProfile:
         if 0 <= iteration < len(self.activity):
             return self.activity[iteration]
         return 1.0
+
+    def to_dict(self) -> Dict[str, object]:
+        """Plain-JSON representation; :meth:`from_dict` inverts it
+        exactly (every field is a str, bool, int or float)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: Dict[str, object]) -> "WorkloadProfile":
+        """Rebuild a profile serialized by :meth:`to_dict`."""
+        return cls(**{**doc, "activity": tuple(doc["activity"])})
 
     @classmethod
     def from_program(

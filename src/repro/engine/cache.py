@@ -48,6 +48,19 @@ recording the producing run's provenance;
 served and fresh results stay distinguishable.
 :meth:`ResultCache.clear` also sweeps the ``*.tmp`` debris a crashed
 writer may have left behind.
+
+**Workload profiles** (:class:`~repro.arch.profile.WorkloadProfile`)
+are stored too, under ``profiles/`` and keyed by
+``(code_version, workload, matrix)``: characterization does not depend
+on the simulator config, so a config sweep over a filled store reads
+each profile instead of re-running the functional workload
+(:meth:`ResultCache.get_profile` / :meth:`ResultCache.put_profile`).
+They share the key check on read, the atomic tmp-rename write and the
+SP604 quarantine (into ``profiles/quarantine/``), and count under
+``cache.profile_hits`` / ``cache.profile_misses`` — ``cache.hits`` /
+``cache.misses`` stay ``SimResult`` lookups only. Profile entries are
+tiny and outside the shards: ``len()`` and the byte budget see result
+entries only, while :meth:`ResultCache.clear` removes both kinds.
 """
 
 from __future__ import annotations
@@ -61,6 +74,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
+from repro.arch.profile import WorkloadProfile
 from repro.arch.stats import SimResult
 from repro.errors import ConfigError, Diagnostic
 from repro.obs.manifest import RunManifest
@@ -70,7 +84,11 @@ from repro.resilience.faults import maybe_corrupt_file
 _TMP_COUNTER = itertools.count()
 
 #: Bump whenever a change to the simulators alters results — every
-#: cache entry written under another version becomes a miss.
+#: cache entry written under another version becomes a miss. Workload
+#: profiles are filed under it too: every ``SimResult`` depends on its
+#: profile, so a characterization change (graphblas, workloads) that
+#: moves a profile already needs a bump, and that bump retires the
+#: stored profiles with the results.
 CODE_VERSION = "1"
 
 #: Default shard count: 16 shards keep per-shard lock contention
@@ -88,7 +106,8 @@ class CacheEntry:
 
 
 class ResultCache:
-    """Sharded directory of per-point SimResult JSON documents."""
+    """Sharded directory of per-point SimResult JSON documents, plus
+    one profile document per (workload, matrix)."""
 
     def __init__(
         self,
@@ -108,7 +127,8 @@ class ResultCache:
                 f"ResultCache max_bytes must be positive, got {max_bytes!r}")
         self.max_bytes = max_bytes
         #: Optional MetricsRegistry the store reports through
-        #: (``cache.hits`` / ``cache.misses`` / ``cache.evicted`` /
+        #: (``cache.hits`` / ``cache.misses`` / ``cache.profile_hits`` /
+        #: ``cache.profile_misses`` / ``cache.evicted`` /
         #: ``cache.evicted_bytes`` / ``cache.bytes``).
         self.metrics = metrics
         self.root.mkdir(parents=True, exist_ok=True)
@@ -146,9 +166,16 @@ class ResultCache:
     def shard_dirs(self) -> List[Path]:
         return [self.shard_dir(i) for i in range(self.n_shards)]
 
+    @property
+    def profile_dir(self) -> Path:
+        """Where workload-profile entries live (outside the shards)."""
+        return self.root / "profiles"
+
     def quarantine_dirs(self) -> List[Path]:
-        """Per-shard quarantine directories (existing ones only)."""
+        """Per-shard and profile quarantine directories (existing ones
+        only)."""
         dirs = [d / "quarantine" for d in self.shard_dirs()]
+        dirs.append(self.profile_dir / "quarantine")
         return [d for d in dirs if d.is_dir()]
 
     def quarantine_paths(self) -> List[Path]:
@@ -233,6 +260,14 @@ class ResultCache:
         )
         return path, key, self._shard_locks[shard]
 
+    def _profile_entry(self, workload, matrix):
+        key = json.dumps(
+            [self.code_version, "profile", str(workload), str(matrix)]
+        )
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
+        path = self.profile_dir / f"{workload}-{matrix}-{digest}.json"
+        return path, key, self._shard_locks[int(digest[:8], 16) % self.n_shards]
+
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -263,10 +298,9 @@ class ResultCache:
             self._count("cache.hits")
         return entry
 
-    def _read_entry(self, path: Path, key: str) -> Optional["CacheEntry"]:
-        """One locked probe: read, validate, quarantine on corruption,
-        stamp recency on a hit."""
-        maybe_corrupt_file("cache.get", path.name, path)
+    def _read_doc(self, path: Path, key: str) -> Optional[dict]:
+        """One locked read: the entry's JSON document if its stored key
+        matches, else ``None`` (quarantining any corrupt file)."""
         try:
             text = path.read_text()
         except FileNotFoundError:
@@ -281,6 +315,15 @@ class ResultCache:
             return None
         if not isinstance(doc, dict) or doc.get("key") != key:
             self._quarantine(path, "key mismatch")
+            return None
+        return doc
+
+    def _read_entry(self, path: Path, key: str) -> Optional["CacheEntry"]:
+        """One locked probe: read, validate, quarantine on corruption,
+        stamp recency on a hit."""
+        maybe_corrupt_file("cache.get", path.name, path)
+        doc = self._read_doc(path, key)
+        if doc is None:
             return None
         try:
             result = SimResult.from_dict(doc["result"])
@@ -315,16 +358,48 @@ class ResultCache:
             "result": result.to_dict(),
             "manifest": None if manifest is None else manifest.to_dict(),
         }
-        text = json.dumps(doc, sort_keys=True)
         with lock:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(
-                f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
-            )
-            tmp.write_text(text)
-            tmp.replace(path)
+            self._write(path, doc)
             self._touch(path)
         self._enforce_budget()
+        return path
+
+    def _write(self, path: Path, doc: dict) -> None:
+        """Atomic write (pid-unique temp file, then rename); called
+        with the entry's lock held."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
+        )
+        tmp.write_text(json.dumps(doc, sort_keys=True))
+        tmp.replace(path)
+
+    # ------------------------------------------------------------------
+    # Workload profiles
+    # ------------------------------------------------------------------
+    def get_profile(self, workload, matrix) -> Optional[WorkloadProfile]:
+        """Stored profile of one (workload, matrix), or None on any kind
+        of miss (a corrupt entry is quarantined, as for results)."""
+        path, key, lock = self._profile_entry(workload, matrix)
+        profile = None
+        with lock:
+            doc = self._read_doc(path, key)
+            if doc is not None:
+                try:
+                    profile = WorkloadProfile.from_dict(doc["profile"])
+                except (KeyError, TypeError, ValueError):
+                    self._quarantine(path, "undecodable profile")
+        self._count(
+            "cache.profile_misses" if profile is None
+            else "cache.profile_hits"
+        )
+        return profile
+
+    def put_profile(self, workload, matrix, profile: WorkloadProfile) -> Path:
+        """Store one profile; atomic against concurrent readers."""
+        path, key, lock = self._profile_entry(workload, matrix)
+        with lock:
+            self._write(path, {"key": key, "profile": profile.to_dict()})
         return path
 
     # ------------------------------------------------------------------
@@ -390,17 +465,24 @@ class ResultCache:
     # Maintenance
     # ------------------------------------------------------------------
     def __len__(self) -> int:
+        """Live result entries (profile entries are not counted)."""
         return sum(1 for _ in self._entries())
 
     def clear(self) -> int:
-        """Delete every live entry (plus any ``*.tmp`` debris crashed
-        writers left behind, in any shard); returns the number of
-        entries removed. Quarantined corpses are kept for auditing."""
+        """Delete every live entry, result and profile alike (plus any
+        ``*.tmp`` debris crashed writers left behind, in any shard);
+        returns the number of result entries removed, as :meth:`__len__`
+        counts them. Quarantined corpses are kept for auditing."""
         n = 0
         for path in list(self._entries()) + list(self.root.glob("*.json")):
             try:
                 path.unlink()
                 n += 1
+            except OSError:
+                pass
+        for path in self.profile_dir.glob("*.json"):
+            try:
+                path.unlink()
             except OSError:
                 pass
         for tmp in self.root.rglob("*.tmp"):

@@ -11,6 +11,9 @@ keys are content hashes (:meth:`SparsepipeConfig.cache_key`), shared
 by the optional on-disk cache (``cache_dir``) so repeated figure and
 benchmark runs are near-free, and :meth:`simulate_many` fans a sweep
 out over a process pool with deterministic, serial-identical results.
+The store also keeps each (workload, matrix) profile, which no config
+changes, so a config sweep over a filled store never re-characterizes;
+a missed point is probed once, keyed once and simulated directly.
 
 Resilience (:mod:`repro.resilience`): the fan-out is supervised — a
 worker killed mid-sweep (``BrokenProcessPool``) degrades to in-process
@@ -178,13 +181,28 @@ class ExperimentContext:
         return self._preps[key]
 
     def profile(self, workload_name: str, matrix_name: str) -> WorkloadProfile:
-        """Workload profile from the functional characterization run."""
+        """Workload profile from the functional characterization run.
+
+        Looked up in memory, then in the on-disk store (profiles do not
+        depend on the config, so a config sweep over a filled store
+        never re-characterizes); only a miss in both runs the workload
+        and stores the profile.
+        """
         key = (workload_name, matrix_name)
-        if key not in self._profiles:
-            workload = get_workload(workload_name)
-            self._lint_once(workload_name, workload)
-            self._profiles[key] = workload.profile(self.graphblas_matrix(matrix_name))
-        return self._profiles[key]
+        profile = self._profiles.get(key)
+        if profile is not None:
+            return profile
+        workload = get_workload(workload_name)
+        self._lint_once(workload_name, workload)
+        if self._disk is not None:
+            profile = self._disk.get_profile(workload_name, matrix_name)
+            self._surface_quarantines()
+        if profile is None:
+            profile = workload.profile(self.graphblas_matrix(matrix_name))
+            if self._disk is not None:
+                self._disk.put_profile(workload_name, matrix_name, profile)
+        self._profiles[key] = profile
+        return profile
 
     def _lint_once(self, workload_name: str, workload) -> None:
         """Feed the workload's verifier diagnostics (warnings the
@@ -236,11 +254,29 @@ class ExperimentContext:
         if self._disk is None:
             return None
         entry = self._disk.get_entry(*key)
-        for diag in self._disk.pop_diagnostics():
-            self.diagnostics.on_diagnostic(diag)
-            self.metrics.counter("cache.quarantined").inc()
+        for diag in self._surface_quarantines():
             self._pending_faults.setdefault(key, []).append(diag)
         return entry
+
+    def _surface_quarantines(self) -> List[Diagnostic]:
+        """Feed the store's SP604 quarantine diagnostics to the sweep
+        observer and the ``cache.quarantined`` counter."""
+        diags = self._disk.pop_diagnostics()
+        for diag in diags:
+            self.diagnostics.on_diagnostic(diag)
+            self.metrics.counter("cache.quarantined").inc()
+        return diags
+
+    def _serve(self, key: Tuple, entry) -> SimResult:
+        """Adopt one on-disk store hit as the point's result."""
+        self.metrics.counter("cache.disk_hits").inc()
+        self._results[key] = entry.result
+        self.manifests[key] = (
+            entry.manifest
+            if entry.manifest is not None
+            else self._manifest_for(key, entry.result, from_cache=True)
+        )
+        return entry.result
 
     def simulate(
         self,
@@ -261,14 +297,12 @@ class ExperimentContext:
             return self._results[key]
         entry = self._disk_lookup(key)
         if entry is not None:
-            self.metrics.counter("cache.disk_hits").inc()
-            self._results[key] = entry.result
-            self.manifests[key] = (
-                entry.manifest
-                if entry.manifest is not None
-                else self._manifest_for(key, entry.result, from_cache=True)
-            )
-            return entry.result
+            return self._serve(key, entry)
+        return self._simulate_fresh(key, cfg)
+
+    def _simulate_fresh(self, key: Tuple, cfg: SparsepipeConfig) -> SimResult:
+        """Simulate one already-probed missing point and record it."""
+        arch, workload_name, matrix_name, _config_key, reorder, block_size = key
         profile = self.profile(workload_name, matrix_name)
         prep = self.prepared(matrix_name, reorder=reorder, block_size=block_size)
         paper_nnz = SUITE[matrix_name].paper_nnz
@@ -397,23 +431,16 @@ class ExperimentContext:
             for a, w, m in points
         ]
 
-        missing: List[Point] = []
-        seen = set()
+        # Missing point -> its result key, in first-seen order.
+        missing: Dict[Point, Tuple] = {}
         for point, key in zip(points, keys):
-            if key in self._results or key in seen:
+            if key in self._results or point in missing:
                 continue
             entry = self._disk_lookup(key)
             if entry is not None:
-                self.metrics.counter("cache.disk_hits").inc()
-                self._results[key] = entry.result
-                self.manifests[key] = (
-                    entry.manifest
-                    if entry.manifest is not None
-                    else self._manifest_for(key, entry.result, from_cache=True)
-                )
+                self._serve(key, entry)
                 continue
-            seen.add(key)
-            missing.append(point)
+            missing[point] = key
 
         if missing:
             backend = self.scheduler if scheduler is None else scheduler
@@ -435,13 +462,12 @@ class ExperimentContext:
                     timeout_s=self.timeout_s,
                 )
             else:
-                ordered = missing
+                ordered = list(missing)
 
                 def fn(p: Point) -> SimResult:
-                    return self.simulate(
-                        p[0], p[1], p[2],
-                        config=cfg, reorder=reorder, block_size=block_size,
-                    )
+                    # Already probed above: simulate directly, without
+                    # re-keying or a second (miss-counting) store probe.
+                    return self._simulate_fresh(missing[p], cfg)
 
                 sched = create_scheduler(backend, timeout_s=self.timeout_s)
             try:
@@ -454,22 +480,21 @@ class ExperimentContext:
                 )
             finally:
                 sched.shutdown()
-            self._absorb_outcome(outcome, ordered, cfg, reorder, block_size)
+            self._absorb_outcome(outcome, [missing[p] for p in ordered])
         return [self._results.get(key) for key in keys]
 
     def _absorb_outcome(
-        self, outcome: FanoutOutcome, ordered: List[Point],
-        cfg: SparsepipeConfig, reorder, block_size,
+        self, outcome: FanoutOutcome, ordered_keys: List[Tuple],
     ) -> None:
         """Fold one supervised fan-out into the context: fresh results
         with their retry records, failed points as failure manifests,
-        fan-out-wide degradations into the sweep diagnostics."""
+        fan-out-wide degradations into the sweep diagnostics.
+        ``ordered_keys`` are the result keys in fan-out order."""
         for diag in outcome.diagnostics:
             self.diagnostics.on_diagnostic(diag)
             self.metrics.counter("resilience.pool_breaks").inc()
         failed = outcome.failed_indices()
-        for index, point in enumerate(ordered):
-            key = self._result_key(*point, cfg, reorder, block_size)
+        for index, key in enumerate(ordered_keys):
             retried = outcome.retried.get(index, [])
             for diag in retried:
                 self.diagnostics.on_diagnostic(diag)
@@ -482,8 +507,9 @@ class ExperimentContext:
                 self._record_failed(
                     key, failure.error, events + [failure.diagnostic])
             elif key in self._results:
-                # The in-process path already recorded it via simulate();
-                # fold late-arriving fault records into its manifest.
+                # The in-process path already recorded it via
+                # _simulate_fresh(); fold late-arriving fault records
+                # into its manifest.
                 if events:
                     self._amend_manifest(key, events)
             else:

@@ -10,6 +10,9 @@ implementations. This suite is that claim, executed:
   metrics registry;
 - the Sparsepipe simulator head-to-head under the zero-observer
   contract, where both backends produce the identical ``SimResult``;
+- the prefetch scan over the design-sweep axes (sub-tensor width,
+  memory, DRAM model), on a run where every step kind of the scan
+  occurs;
 - hypothesis property runs over random matrices, widths, and configs;
 - the OEI executor and masked/accumulated ``vxm`` under
   ``kernel="reference"`` vs ``kernel="batched"``.
@@ -17,6 +20,8 @@ implementations. This suite is that claim, executed:
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.config import SparsepipeConfig
+from repro.arch import fastpath
+from repro.arch.config import CPU_DDR4, GPU_GDDR6X, SparsepipeConfig
 from repro.arch.profile import WorkloadProfile
 from repro.arch.simulator import SparsepipeSimulator
 from repro.engine.instrumentation import StepTraceObserver
@@ -154,6 +160,54 @@ class TestSimulatorHeadToHead:
         assert_exact(ref, vec)
         assert obs_vec.samples(1.0) == obs_ref.samples(1.0)
         assert obs_vec.samples(1.0)  # the stream actually fired
+
+
+#: The design-sweep corners: sub-tensor width x memory x DRAM model.
+DESIGN_CORNERS = list(itertools.product(
+    (32, 256), (GPU_GDDR6X, CPU_DDR4), (False, True)))
+
+
+class TestDesignAxes:
+    """The vectorized prefetch scan serves a step from the untouched or
+    the fully prefetched trajectory and runs the scalar formula only for
+    a partially prefetched column. gcn on ``gy`` fires the prefetcher
+    and leaves partial columns in every design corner (and pulls whole
+    columns on GDDR6X), so all three step kinds are held to the
+    reference here, not only through the benchmark's digests."""
+
+    @pytest.mark.parametrize(
+        "cols,memory,detailed", DESIGN_CORNERS,
+        ids=[f"sc{c}-{m.technology}-dd{int(d)}" for c, m, d in DESIGN_CORNERS],
+    )
+    def test_design_corner_exact(self, contexts, monkeypatch,
+                                 cols, memory, detailed):
+        ref_ctx, _ = contexts
+        profile = ref_ctx.profile("gcn", "gy")
+        prep = ref_ctx.prepared("gy")
+        kinds = Counter()
+        real_scan = fastpath._FastRun._scan_pair
+
+        def counting_scan(run, *args, **kwargs):
+            out = real_scan(run, *args, **kwargs)
+            n_sub = run.plan.n_subtensors
+            full, due = run._csc0[:n_sub], out[1][:n_sub]
+            kinds["fetched"] += int(np.sum((due == 0.0) & (full > 0.0)))
+            kinds["partial"] += int(np.sum((due > 0.0) & (due < full)))
+            return out
+
+        monkeypatch.setattr(fastpath._FastRun, "_scan_pair", counting_scan)
+        results = [
+            SparsepipeSimulator(SparsepipeConfig(
+                backend=backend, subtensor_cols=cols, memory=memory,
+                detailed_dram=detailed, csr_window_fraction=0.5,
+            )).run(profile, prep, observers=())
+            for backend in ("reference", "vectorized")
+        ]
+        assert_exact(*results)
+        assert results[0].traffic.bytes_by_category["csr_eager"] > 0.0
+        assert kinds["partial"] > 0
+        if memory is GPU_GDDR6X:
+            assert kinds["fetched"] > 0
 
 
 @st.composite

@@ -2,8 +2,10 @@
 instrumentation, the persistent result cache, and the parallel
 experiment fan-out."""
 
+import hashlib
 import json
-from dataclasses import replace
+import pickle
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -130,6 +132,32 @@ class TestCacheKey:
         key = SparsepipeConfig().cache_key()
         assert len(key) == 16
         int(key, 16)  # raises if not hex
+
+    def test_default_key_is_pinned(self):
+        # Every existing store entry is filed under this key: a change
+        # to it silently orphans them all.
+        assert SparsepipeConfig().cache_key() == "94f01259053557b4"
+
+    def test_memo_is_invisible(self):
+        cfg = SparsepipeConfig(subtensor_cols=64)
+        before = (asdict(cfg), hash(cfg), repr(cfg), pickle.dumps(cfg))
+        key = cfg.cache_key()
+        assert cfg.cache_key() is key  # memoized, not recomputed
+        assert (asdict(cfg), hash(cfg), repr(cfg), pickle.dumps(cfg)) == before
+        assert cfg == SparsepipeConfig(subtensor_cols=64)
+        clone = pickle.loads(pickle.dumps(cfg))
+        assert clone == cfg
+        assert "_cache_key" not in vars(clone)
+        assert clone.cache_key() == key
+
+    def test_replace_gets_a_fresh_correct_key(self):
+        base = SparsepipeConfig()
+        base.cache_key()
+        variant = replace(base, subtensor_cols=32, detailed_dram=True)
+        assert "_cache_key" not in vars(variant)
+        doc = json.dumps(asdict(variant), sort_keys=True, default=float)
+        expected = hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
+        assert variant.cache_key() == expected != base.cache_key()
 
 
 class TestInstrumentation:
@@ -300,6 +328,31 @@ class TestDiskCachedContext:
         monkeypatch.setattr(runner_mod, "run_engine", counting)
         fresh.simulate("ideal", "pr", "gy")
         assert ran == ["ideal"]
+
+
+class TestStoreCounters:
+    """``cache.hits`` / ``cache.misses`` count one store probe per
+    point: a fresh point is exactly one miss on either backend, and a
+    warm rerun is exactly one hit per point."""
+
+    POINTS = [("ideal", "pr", "gy"), ("ideal", "sssp", "gy"),
+              ("sparsepipe", "pr", "gy")]
+
+    @pytest.mark.parametrize("scheduler", ["inprocess", "localpool"])
+    def test_one_probe_per_point(self, tmp_path, scheduler):
+        cold = ExperimentContext(
+            cache_dir=tmp_path, scheduler=scheduler, max_workers=2)
+        first = cold.simulate_many(self.POINTS)
+        assert cold.metrics.value("cache.misses") == len(self.POINTS)
+        assert cold.metrics.value("cache.hits") == 0
+        warm = ExperimentContext(
+            cache_dir=tmp_path, scheduler=scheduler, max_workers=2)
+        assert warm.simulate_many(self.POINTS) == first
+        assert warm.metrics.value("cache.hits") == len(self.POINTS)
+        assert warm.metrics.value("cache.misses") == 0
+        # A warm point never needs its profile.
+        assert warm.metrics.value("cache.profile_hits") == 0
+        assert warm.metrics.value("cache.profile_misses") == 0
 
 
 class TestSimulateMany:

@@ -340,7 +340,7 @@ class TestCacheQuarantine:
     def test_context_counts_quarantine(self, tmp_path):
         ctx = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
         ctx.simulate("ideal", "pr", "gy")
-        entry = next(tmp_path.rglob("*.json"))
+        entry = next(tmp_path.glob("shard-*/*.json"))
         entry.write_text("garbage{")
         fresh = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
         fresh.simulate("ideal", "pr", "gy")
@@ -356,7 +356,7 @@ class TestCacheQuarantine:
         # not drop the manifest and rebuild a clean "ok" one.
         ctx = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
         ctx.simulate("ideal", "pr", "gy")
-        entry = next(tmp_path.rglob("*.json"))
+        entry = next(tmp_path.glob("shard-*/*.json"))
         doc = json.loads(entry.read_text())
         fault = {"code": "SP602", "severity": "warning",
                  "message": "attempt 1/3 failed; retrying",
