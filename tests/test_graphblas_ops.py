@@ -1,11 +1,14 @@
 """Tests for GraphBLAS-mini operations against dense references."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
+from repro.graphblas import ops
 from repro.graphblas import (
     Mask,
     Matrix,
@@ -26,10 +29,12 @@ from repro.graphblas import (
 from repro.semiring import (
     ABS,
     AND_OR,
+    ARIL_ADD,
     LOR,
     MIN,
     MIN_ADD,
     MIN_MONOID,
+    MAX_TIMES,
     MUL_ADD,
     PLUS,
     PLUS_MONOID,
@@ -257,3 +262,51 @@ class TestMaskAccumInteraction:
         a = Vector(3, np.array([1.0, np.nan, 2.0]))
         b = Vector(3, np.array([1.0, np.nan, 2.0]))
         assert a.isclose(b)
+
+
+#: Semirings of the blocked-SpMM property: the PLUS, MIN, MAX and LOR
+#: dense kernels, and ARIL_ADD, whose multiply has no ufunc.
+SPMM_SEMIRINGS = {
+    s.name: s for s in (MUL_ADD, MIN_ADD, MAX_TIMES, AND_OR, ARIL_ADD)
+}
+
+
+def _mxm_dense_reference(a: Matrix, b: np.ndarray, semiring) -> np.ndarray:
+    """``ufunc.at`` over every product into an identity-filled output:
+    the unblocked, in-order fold that ``mxm_dense`` must reproduce."""
+    csr = a.csr
+    products = semiring.mul(csr.data[:, None], b[csr.indices])
+    out = np.full((a.nrows, b.shape[1]), semiring.zero, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        semiring.add.op.ufunc.at(out, a.row_ids, products)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    f=st.integers(1, 4),
+    block=st.integers(1, 6),
+    long_row=st.booleans(),
+    semiring=st.sampled_from(sorted(SPMM_SEMIRINGS)),
+    seed=st.integers(0, 2**31 - 1),
+)
+# A row longer than the block limit, next to empty rows, at F = 1.
+@example(n=8, f=1, block=2, long_row=True, semiring="mul_add", seed=0)
+@example(n=8, f=3, block=1, long_row=True, semiring="max_times", seed=1)
+@example(n=5, f=2, block=3, long_row=True, semiring="aril_add", seed=2)
+def test_property_mxm_dense_blocked_is_bitwise_add_at(
+    n, f, block, long_row, semiring, seed
+):
+    gen = np.random.default_rng(seed)
+    dense = (gen.random((n, n)) < 0.4) * gen.uniform(-2.0, 2.0, (n, n))
+    dense[gen.integers(n)] = 0.0                      # an empty row
+    if long_row:
+        dense[gen.integers(n)] = gen.uniform(0.5, 2.0, n)
+    a = Matrix.from_dense(dense)
+    b = gen.uniform(-2.0, 2.0, (n, f))
+    sr = SPMM_SEMIRINGS[semiring]
+    expected = _mxm_dense_reference(a, b, sr)
+    with mock.patch.object(ops, "SPMM_BLOCK_NNZ", block):
+        got = mxm_dense(a, b, sr)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
