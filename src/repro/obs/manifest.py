@@ -94,20 +94,25 @@ class RunManifest:
 
     def stable_dict(self) -> Dict[str, object]:
         """Every identity-bearing field, JSON-plain."""
-        doc = asdict(self)
-        for field in self._UNSTABLE:
-            doc.pop(field, None)
-        return doc
+        return self._stable(asdict(self))
+
+    @classmethod
+    def _stable(cls, doc: Dict[str, object]) -> Dict[str, object]:
+        return {k: v for k, v in doc.items() if k not in cls._UNSTABLE}
+
+    @staticmethod
+    def _hash(stable: Dict[str, object]) -> str:
+        text = json.dumps(stable, sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def digest(self) -> str:
         """Deterministic content hash over the stable fields."""
-        doc = json.dumps(self.stable_dict(), sort_keys=True)
-        return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
+        return self._hash(self.stable_dict())
 
     def to_dict(self) -> Dict[str, object]:
         """Full JSON representation (includes the digest for auditing)."""
         doc = asdict(self)
-        doc["digest"] = self.digest()
+        doc["digest"] = self._hash(self._stable(doc))
         return doc
 
     @classmethod

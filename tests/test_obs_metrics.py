@@ -1,5 +1,7 @@
 """Unit tests for the metrics registry primitives and run manifests."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.obs import MetricsRegistry, RunManifest, build_manifest
@@ -103,6 +105,17 @@ class TestManifest:
         back = RunManifest.from_dict(m.to_dict())
         assert back == m
         assert back.digest() == m.digest()
+
+    @pytest.mark.parametrize("status", ["ok", "retried", "failed"])
+    def test_to_dict_digest_is_digest(self, status):
+        faults = () if status == "ok" else (
+            {"code": "SP602", "severity": "warning", "message": "retry 1"},
+        )
+        m = replace(self._manifest(seed=3, wall_time_s=0.5),
+                    status=status, faults=faults)
+        doc = m.to_dict()
+        assert doc["digest"] == m.digest()
+        assert list(doc) == [f.name for f in fields(RunManifest)] + ["digest"]
 
     def test_digest_excludes_wall_time_and_cache_flag(self):
         fast = self._manifest(wall_time_s=0.01)
