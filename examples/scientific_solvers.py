@@ -17,13 +17,13 @@ from repro.graphblas import Matrix
 from repro.matrices import banded_mesh
 from repro.preprocess import preprocess
 from repro.workloads import get_workload
-from repro.workloads.solvers import spd_system
+from repro.workloads.solvers import build_spd_system
 
 
 def main() -> None:
     coo = banded_mesh(5000, 40, 60_000, seed=5)
     graph = Matrix(coo)
-    system = spd_system(graph)
+    system = build_spd_system(graph)
     print(f"mesh: {graph.nrows} nodes; SPD system with {system.nnz} non-zeros\n")
 
     prep = preprocess(coo, reorder="vanilla", block_size=256)
