@@ -50,7 +50,6 @@ _EXPERIMENTS = (
 def _make_context(args: argparse.Namespace) -> ExperimentContext:
     return ExperimentContext(
         cache_dir=getattr(args, "cache", None),
-        cache_max_bytes=getattr(args, "cache_bytes", None),
         max_workers=getattr(args, "jobs", None),
         on_error=getattr(args, "on_error", "raise") or "raise",
         scheduler=getattr(args, "scheduler", None),
@@ -398,12 +397,6 @@ def _add_context_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache", default=None, metavar="DIR",
         help="persist simulation results under DIR (e.g. .repro_cache)",
-    )
-    parser.add_argument(
-        "--cache-bytes", type=int, default=None, metavar="N",
-        dest="cache_bytes",
-        help="byte budget for the on-disk result store; least-recently"
-             "-used entries are evicted past it (default: unbounded)",
     )
     parser.add_argument(
         "--on-error", choices=("raise", "skip", "retry"), default="raise",

@@ -232,8 +232,8 @@ for _s in (
               "_init_worker/install-style initializer passed to the "
               "pool, or thread the state through arguments"),
         _spec("SP912", "non-atomic-cache-write", Severity.ERROR,
-              "cache/state files must be written via ResultCache's "
-              "tmp-rename protocol (write to a pid-unique .tmp, then "
+              "cache/state files must be written via the tmp-rename "
+              "protocol (write to a pid-unique .tmp, then "
               "Path.replace) so a concurrent reader never observes a "
               "torn file; write the temp file and rename it"),
         _spec("SP913", "blocking-supervisor-wait", Severity.ERROR,

@@ -44,12 +44,10 @@ The **SP91x concurrency-safety family** targets sweep execution
   functions (``_init_worker_context``, ``install``, ``mark_worker``,
   import latches): a global mutated anywhere else is silently stale in
   forked pool workers and absent under spawn.
-- **SP912** — cache/state files in ``engine/``/``resilience/`` must be
-  written via the tmp-rename protocol :class:`ResultCache` established
-  (write a pid-unique temp file, then ``Path.replace``): a function
-  that writes a file but never renames one can expose a torn file to
-  a concurrent reader. (``resilience/faults.py`` is exempt — its
-  chaos hooks corrupt files *by design*.)
+- **SP912** — files in ``engine/``/``resilience/`` must be written
+  via the tmp-rename protocol (write a pid-unique temp file, then
+  ``Path.replace``): a function that writes a file but never renames
+  one can expose a torn file to a concurrent reader.
 - **SP913** — supervisor code (``resilience/``, ``scheduler/``) must
   not block unboundedly: ``time.sleep`` polling and no-timeout
   ``Future.result()`` calls can hang an entire sweep behind one dead
@@ -481,8 +479,7 @@ PASSES: Tuple[SelfCheckPass, ...] = (
     SelfCheckPass("SP911", "pool-captured-global", _check_pool_globals,
                   include=tuple(f"{p}/" for p in SERVICE_ARC_PACKAGES)),
     SelfCheckPass("SP912", "non-atomic-cache-write", _check_atomic_writes,
-                  include=("engine/", "resilience/"),
-                  exclude=("resilience/faults.py",)),
+                  include=("engine/", "resilience/")),
     SelfCheckPass("SP913", "blocking-supervisor-wait", _check_blocking_waits,
                   include=SUPERVISOR_PATHS),
     SelfCheckPass("SP914", "pool-outside-scheduler-backend",

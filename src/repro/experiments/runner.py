@@ -101,11 +101,6 @@ class ExperimentContext:
     workloads: Optional[Tuple[str, ...]] = None
     matrices: Optional[Tuple[str, ...]] = None
     cache_dir: Optional[Union[str, Path]] = None
-    #: Byte budget of the on-disk store (None = unbounded); the store
-    #: LRU-evicts past it and reports ``cache.evicted`` metrics.
-    cache_max_bytes: Optional[int] = None
-    #: Shard count of the on-disk store (None = the store's default).
-    cache_shards: Optional[int] = None
     max_workers: Optional[int] = None
     on_error: str = "raise"
     retries: int = DEFAULT_RETRIES
@@ -131,12 +126,7 @@ class ExperimentContext:
         #: buffer peaks, ...), plus cache hit/miss counters.
         self.metrics = MetricsRegistry()
         self._disk: Optional[ResultCache] = (
-            ResultCache(
-                self.cache_dir,
-                shards=self.cache_shards,
-                max_bytes=self.cache_max_bytes,
-                metrics=self.metrics,
-            )
+            ResultCache(self.cache_dir, metrics=self.metrics)
             if self.cache_dir else None
         )
         #: Run manifests by result key — provenance for every result

@@ -10,7 +10,7 @@ items are recorded as first-class failures (SP603), and a per-item
 watchdog bounds hangs (SP606).
 
 This package holds :mod:`repro.resilience.faults` — a seeded,
-deterministic :class:`FaultPlan` injecting worker death, cache-file
+deterministic :class:`FaultPlan` injecting worker death, cache-entry
 corruption, transient engine failures, and malformed-ingest bytes at
 named sites, so every degradation path above is *provable* by the
 chaos suite rather than hoped-for.
@@ -27,7 +27,6 @@ from repro.resilience.faults import (
     active_plan,
     drain_fired,
     install,
-    maybe_corrupt_file,
     maybe_corrupt_text,
     maybe_die,
     maybe_raise,
@@ -40,7 +39,6 @@ __all__ = [
     "active_plan",
     "drain_fired",
     "install",
-    "maybe_corrupt_file",
     "maybe_corrupt_text",
     "maybe_die",
     "maybe_raise",

@@ -16,8 +16,11 @@ site                      where it is consulted
                           transient :class:`~repro.errors.
                           InjectedFault`)
 ``cache.get``             :meth:`repro.engine.cache.ResultCache.
-                          get_entry`, before the entry file is read
-                          (``corrupt_file`` truncates / scribbles it)
+                          get_entry`, on a stored result document
+                          before it is parsed (``corrupt_text``
+                          truncates / replaces it; the key is the
+                          entry name ``<arch>-<workload>-<matrix>-
+                          <digest>.json``)
 ``ingest.entry``          :func:`repro.formats.matrix_market.
                           read_matrix_market`, per entry line
                           (``corrupt_text`` mangles the line)
@@ -40,13 +43,12 @@ import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import Diagnostic, InjectedFault
 
 #: Fault kinds a plan may request at a site.
-KINDS = ("raise", "worker_death", "corrupt_file", "corrupt_text")
+KINDS = ("raise", "worker_death", "corrupt_text")
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,9 @@ class Fault:
     ``rate`` is the probability (deterministically derived from the
     plan seed and the site key) that a given key fires; ``keys``
     instead pins the exact keys that fire — when non-empty, ``rate``
-    is ignored. ``payload`` parameterizes corruption kinds:
-    ``"truncate"`` halves the file, anything else overwrites/replaces
-    with the payload text itself.
+    is ignored. ``payload`` parameterizes ``corrupt_text``:
+    ``"truncate"`` halves the text, anything else replaces it with the
+    payload text itself.
     """
 
     kind: str
@@ -186,22 +188,6 @@ def maybe_raise(site: str, key: object) -> None:
             f"injected transient failure at {site}[{key}]",
             diagnostics=(diag,),
         )
-
-
-def maybe_corrupt_file(site: str, key: object, path: Union[str, Path]) -> None:
-    """Corrupt ``path`` in place if a ``corrupt_file`` fault fires
-    (truncation or garbage, per the fault payload)."""
-    path = Path(path)
-    if _PLAN is None or not path.exists():
-        return
-    fault = _fire(site, key)
-    if fault is None or fault.kind != "corrupt_file":
-        return
-    if fault.payload == "truncate":
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
-    else:
-        path.write_text(fault.payload)
 
 
 def maybe_corrupt_text(site: str, key: object, text: str) -> str:

@@ -389,14 +389,16 @@ class TestAtomicWrites:
         })
         assert not selfcheck(tmp_path).has("SP912")
 
-    def test_fault_injector_is_exempt(self, tmp_path):
+    def test_fault_injector_is_checked_too(self, tmp_path):
+        # The fault hooks corrupt text in memory, so faults.py has no
+        # exemption: a bare file write there is a finding like anywhere.
         write_tree(tmp_path, {
             "resilience/faults.py": """
                 def corrupt(path):
                     path.write_text("garbage")
             """,
         })
-        assert not selfcheck(tmp_path).has("SP912")
+        assert selfcheck(tmp_path).has("SP912")
 
 
 class TestBlockingWaits:
@@ -525,7 +527,8 @@ class TestPassFramework:
         assert by_code["SP905"].applies("arch/fastpath.py")
         assert not by_code["SP905"].applies("arch/simulator.py")
         assert by_code["SP912"].applies("resilience/cachemon.py")
-        assert not by_code["SP912"].applies("resilience/faults.py")
+        assert by_code["SP912"].applies("resilience/faults.py")
+        assert not by_code["SP912"].applies("experiments/runner.py")
         assert by_code["SP904"].applies("resilience/faults.py")
         assert not by_code["SP911"].applies("arch/simulator.py")
         assert not by_code["SP902"].applies("baselines/__init__.py")

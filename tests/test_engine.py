@@ -28,6 +28,7 @@ from repro.engine import (
     register_arch,
 )
 from repro.errors import ConfigError
+from tests.store_rows import write_doc
 from repro.experiments.runner import ExperimentContext
 from repro.matrices import banded_mesh
 from repro.preprocess import preprocess
@@ -276,11 +277,12 @@ class TestResultCache:
         result = self._result(prep)
         cache = ResultCache(tmp_path)
         key = ("sparsepipe", "pr", "gy", "abc", None, None)
-        path = cache.put(*key, result=result)
-        path.write_text("not json{")
+        row = cache.put(*key, result=result)
+        write_doc(tmp_path, row, "not json{")
         assert cache.get(*key) is None
         doc = {"key": "wrong", "result": result.to_dict()}
-        path.write_text(json.dumps(doc))
+        cache.put(*key, result=result)
+        write_doc(tmp_path, row, json.dumps(doc))
         assert cache.get(*key) is None
 
     def test_clear_removes_everything(self, prep, tmp_path):

@@ -18,6 +18,7 @@ import repro.engine.cache as cache_mod
 from repro.engine.cache import ResultCache
 from repro.experiments.runner import ExperimentContext
 from repro.workloads.registry import workload_names
+from tests.store_rows import keys, read_doc, write_doc
 
 MATRIX = "gy"
 
@@ -82,15 +83,15 @@ def test_code_version_bump_recomputes(tmp_path, monkeypatch):
 def test_corrupt_entry_is_quarantined_and_recomputed(tmp_path, garbage):
     computed = ExperimentContext(cache_dir=tmp_path).profile("bfs", MATRIX)
     store = ResultCache(tmp_path)
-    (entry,) = store.profile_dir.glob("*.json")
-    entry.write_text(garbage)
+    name, key = store._profile_entry("bfs", MATRIX)
+    write_doc(tmp_path, key, garbage)
 
     ctx = ExperimentContext(cache_dir=tmp_path)
     assert ctx.profile("bfs", MATRIX) == computed
     assert ctx.metrics.value("cache.profile_misses") == 1
     assert ctx.metrics.value("cache.quarantined") == 1
     assert ctx.lint_health().get("diagnostics[SP604]") == 1
-    assert [p.name for p in store.quarantine_paths()] == [entry.name]
+    assert [p.name for p in store.quarantine_paths()] == [name]
     # The recomputed profile re-populated the slot.
     again = ExperimentContext(cache_dir=tmp_path)
     assert again.profile("bfs", MATRIX) == computed
@@ -100,14 +101,14 @@ def test_corrupt_entry_is_quarantined_and_recomputed(tmp_path, garbage):
 def test_undecodable_profile_is_quarantined(tmp_path):
     store = ResultCache(tmp_path)
     profile = ExperimentContext().profile("pr", MATRIX)
-    path = store.put_profile("pr", MATRIX, profile)
+    key = store.put_profile("pr", MATRIX, profile)
     assert store.get_profile("pr", MATRIX) == profile
-    doc = json.loads(path.read_text())
+    doc = json.loads(read_doc(tmp_path, key))
     doc["profile"]["n_iterations"] = 0
-    path.write_text(json.dumps(doc))
+    write_doc(tmp_path, key, json.dumps(doc))
     assert store.get_profile("pr", MATRIX) is None
     assert [d.code for d in store.pop_diagnostics()] == ["SP604"]
-    assert not path.exists()
+    assert keys(tmp_path, "profile") == []
 
 
 def test_len_counts_results_and_clear_removes_profiles(tmp_path):
@@ -116,9 +117,9 @@ def test_len_counts_results_and_clear_removes_profiles(tmp_path):
     store = ResultCache(tmp_path)
     # One result entry; its profile is stored beside it but not counted.
     assert len(store) == 1
-    assert len(list(store.profile_dir.glob("*.json"))) == 1
+    assert len(keys(tmp_path, "profile")) == 1
     # clear() returns the result entries it removed and drops profiles.
     assert store.clear() == 1
     assert len(store) == 0
-    assert list(store.profile_dir.glob("*.json")) == []
+    assert keys(tmp_path, "profile") == []
     assert store.get_profile("pr", MATRIX) is None

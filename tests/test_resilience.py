@@ -22,6 +22,7 @@ from repro.scheduler import (
     pool_chunksize,
     run_fanout,
 )
+from tests.store_rows import keys, read_doc, write_doc
 
 _PARENT_PID = os.getpid()
 
@@ -209,18 +210,18 @@ class TestFaultPlan:
         # No plan: identity.
         assert faults_mod.maybe_corrupt_text("t", 1, "abcdef") == "abcdef"
 
-    def test_corrupt_file(self, tmp_path):
-        path = tmp_path / "f.json"
-        path.write_text("0123456789")
+    def test_corrupt_text_fires_once_per_key(self):
+        # The cache.get site mangles a stored document's text; like
+        # every site, a key fires at most once per armed plan, so the
+        # re-read after a quarantine goes through.
         with activate(FaultPlan(seed=0, faults={
-                "f": Fault(kind="corrupt_file", payload="truncate")})):
-            faults_mod.maybe_corrupt_file("f", path.name, path)
-        assert path.read_text() == "01234"
-        missing = tmp_path / "absent.json"
-        with activate(FaultPlan(seed=0, faults={
-                "f": Fault(kind="corrupt_file")})):
-            faults_mod.maybe_corrupt_file("f", "absent", missing)
-        assert not missing.exists()
+                "f": Fault(kind="corrupt_text", payload="truncate")})):
+            assert faults_mod.maybe_corrupt_text("f", "a.json", "0123456789") \
+                == "01234"
+            assert faults_mod.maybe_corrupt_text("f", "a.json", "0123456789") \
+                == "0123456789"
+            assert faults_mod.maybe_corrupt_text("f", "b.json", "abcd") == "ab"
+        assert [d.location for d in drain_fired()] == ["f[a.json]", "f[b.json]"]
 
     def test_worker_death_is_noop_outside_workers(self):
         # In the parent process a worker_death fault must never fire
@@ -235,54 +236,6 @@ class TestFaultPlan:
         faults_mod.maybe_raise("s", "k")
         faults_mod.maybe_die("s", "k")
         assert faults_mod.active_plan() is None
-
-
-class TestCacheTempFiles:
-    def _result(self):
-        from repro.arch.simulator import SparsepipeSimulator
-        from repro.matrices import banded_mesh
-        from repro.preprocess import preprocess
-        from tests.test_engine import make_profile
-
-        prep = preprocess(banded_mesh(120, 6, 400, seed=3),
-                          reorder=None, block_size=None)
-        return SparsepipeSimulator(SparsepipeConfig(subtensor_cols=32)).run(
-            make_profile(n_iterations=2), prep)
-
-    def test_put_uses_unique_tmp_names(self, tmp_path, monkeypatch):
-        # Seed bug: the temp name was pid-only, so two threads in one
-        # process tore each other's temp file.
-        from pathlib import Path
-
-        cache = ResultCache(tmp_path)
-        seen = []
-        original = Path.replace
-
-        def spy(self, target):
-            seen.append(self.name)
-            return original(self, target)
-
-        monkeypatch.setattr(Path, "replace", spy)
-        result = self._result()
-        cache.put("a", "pr", "gy", "k", None, None, result=result)
-        cache.put("a", "pr", "gy", "k", None, None, result=result)
-        tmp_names = [n for n in seen if n.endswith(".tmp")]
-        assert len(tmp_names) == 2
-        assert tmp_names[0] != tmp_names[1]
-
-    def test_clear_sweeps_tmp_debris(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = self._result()
-        cache.put("a", "pr", "gy", "k", None, None, result=result)
-        debris = tmp_path / f"entry.json.{os.getpid()}.0.tmp"
-        debris.write_text("{half-written")
-        shard_debris = (cache.shard_dir(0)
-                        / f"entry.json.{os.getpid()}.1.tmp")
-        shard_debris.write_text("{half-written")
-        assert cache.clear() == 1
-        assert not debris.exists()
-        assert not shard_debris.exists()
-        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestCacheQuarantine:
@@ -306,24 +259,26 @@ class TestCacheQuarantine:
             self, tmp_path, backend, corruption):
         cache = ResultCache(tmp_path)
         result = self._result(backend)
-        path = cache.put(*self.KEY, result=result)
+        key = cache.put(*self.KEY, result=result)
+        text = read_doc(tmp_path, key)
         if corruption == "truncated":
-            path.write_text(path.read_text()[: len(path.read_text()) // 2])
+            text = text[: len(text) // 2]
         elif corruption == "wrong_key":
-            doc = json.loads(path.read_text())
+            doc = json.loads(text)
             doc["key"] = "not the stored key"
-            path.write_text(json.dumps(doc))
+            text = json.dumps(doc)
         else:  # hand-edited result payload
-            doc = json.loads(path.read_text())
+            doc = json.loads(text)
             doc["result"] = {"cycles": "tampered"}
-            path.write_text(json.dumps(doc))
+            text = json.dumps(doc)
+        write_doc(tmp_path, key, text)
         # Miss cleanly...
         assert cache.get(*self.KEY) is None
         # ...quarantine the corpse (never silently re-missed forever)...
-        assert not path.exists()
-        # Quarantine lives beside the entry, inside its own shard.
-        assert (path.parent / "quarantine" / path.name).exists()
-        assert [p.name for p in cache.quarantine_paths()] == [path.name]
+        assert keys(tmp_path) == []
+        name, _ = cache._entry(*self.KEY)
+        assert [p.name for p in cache.quarantine_paths()] == [name]
+        assert (tmp_path / "quarantine" / name).read_text() == text
         diags = cache.pop_diagnostics()
         assert [d.code for d in diags] == ["SP604"]
         assert cache.pop_diagnostics() == []
@@ -334,14 +289,14 @@ class TestCacheQuarantine:
     def test_missing_file_is_plain_miss_no_quarantine(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get(*self.KEY) is None
-        assert not any(d.exists() for d in cache.quarantine_dirs())
+        assert not cache.quarantine_dir.exists()
         assert cache.pop_diagnostics() == []
 
     def test_context_counts_quarantine(self, tmp_path):
         ctx = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
         ctx.simulate("ideal", "pr", "gy")
-        entry = next(tmp_path.glob("shard-*/*.json"))
-        entry.write_text("garbage{")
+        (key,) = keys(tmp_path)
+        write_doc(tmp_path, key, "garbage{")
         fresh = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
         fresh.simulate("ideal", "pr", "gy")
         assert fresh.metrics.counter("cache.quarantined").value == 1
@@ -356,14 +311,14 @@ class TestCacheQuarantine:
         # not drop the manifest and rebuild a clean "ok" one.
         ctx = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
         ctx.simulate("ideal", "pr", "gy")
-        entry = next(tmp_path.glob("shard-*/*.json"))
-        doc = json.loads(entry.read_text())
+        (key,) = keys(tmp_path)
+        doc = json.loads(read_doc(tmp_path, key))
         fault = {"code": "SP602", "severity": "warning",
                  "message": "attempt 1/3 failed; retrying",
                  "location": "ideal/pr/gy"}
         doc["manifest"].update(
             coalesced=False, status="retried", faults=[fault])
-        entry.write_text(json.dumps(doc))
+        write_doc(tmp_path, key, json.dumps(doc))
 
         fresh = ExperimentContext(matrices=("gy",), cache_dir=tmp_path)
         fresh.simulate("ideal", "pr", "gy")
