@@ -69,6 +69,9 @@ class BankedDRAM:
         check_positive("clock_ghz", clock_ghz)
         check_positive("stream_efficiency", stream_efficiency)
         self._geometry = geometry
+        self._granule = float(geometry.access_granule_bytes)
+        self._row_bytes = geometry.row_bytes
+        self._banks = geometry.total_banks
         self._bytes_per_cycle = memory.bytes_per_cycle(clock_ghz) * stream_efficiency
         # Activation cost (precharge + activate + CAS) approximated from
         # the Table II read/write latencies.
@@ -91,17 +94,21 @@ class BankedDRAM:
             raise ValueError(f"byte count must be non-negative, got {n_bytes}")
         if n_bytes == 0:
             return 0.0
-        g = self._geometry
-        bursts = n_bytes / max(1.0, float(avg_burst_bytes))
+        # ``a if a > b else b`` is ``max(b, a)`` without the builtin
+        # call: the prefetch scan calls this once per partial step.
+        burst = float(avg_burst_bytes)
+        bursts = n_bytes / (burst if burst > 1.0 else 1.0)
         # Sub-granule bursts still occupy a full access granule on the
         # bus (over-fetch waste).
-        moved = bursts * max(float(g.access_granule_bytes), float(avg_burst_bytes))
+        granule = self._granule
+        moved = bursts * (burst if burst > granule else granule)
         bus_cycles = moved / self._bytes_per_cycle
         # One activation per burst (random landing row) plus row
         # crossings inside long bursts.
-        activations = bursts + n_bytes / g.row_bytes
-        activation_cycles = activations * self._activation_cycles / g.total_banks
-        return max(bus_cycles, activation_cycles)
+        activations = bursts + n_bytes / self._row_bytes
+        activation_cycles = activations * self._activation_cycles / self._banks
+        return (activation_cycles if activation_cycles > bus_cycles
+                else bus_cycles)
 
     def cycles_batch(self, n_bytes: "np.ndarray", avg_burst_bytes: float) -> "np.ndarray":
         """Elementwise :meth:`cycles` over an array of byte volumes.

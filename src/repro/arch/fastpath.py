@@ -45,7 +45,16 @@ reads it from one of two trajectories precomputed with numpy — the
 static one (column untouched) and the same expressions at zero column
 demand (column fully prefetched) — and runs the scalar formula only for
 a partially prefetched column (8% of the steps a design sweep scans;
-55% are untouched, 36% fully prefetched). Either way the result
+55% are untouched, 36% fully prefetched). The loop converts to Python
+lists only the arrays most steps read, indexes the partial-column
+inputs in place, calls no builtin per step, moves the prefetch
+frontier past a column as soon as it empties it, and records the
+per-step residency, from which one numpy add builds the peak
+candidates. It stays a scalar loop: 44% of the scanned steps prefetch,
+in runs of ~8 steps between idle stretches of ~10, so an exact
+skip-ahead over the idle steps costs more than it saves, and each
+prefetching step moves bytes that later steps' budgets depend on,
+which rules out an exact vectorization. Either way the result
 is memoized per ``(act1, act2, prefetch-residency carry)`` — workloads with
 uniform per-iteration activity simulate one pair and replay it.
 
@@ -192,10 +201,12 @@ class _BufferStatics:
             evict_step_bytes[s] = step_evicted
 
         self.csr_capacity_bytes = csr_cap
-        self.element_bytes = elem
         self.reload_bytes = reload_bytes
-        self.live_before_admit = live_before_admit
-        self.live_after_admit = live_after_admit
+        #: Live reuse-window bytes at each step, before and after its
+        #: admit (the list is the scan's copy).
+        self.live_bytes_before = live_before_admit * elem
+        self.live_bytes_before_list = self.live_bytes_before.tolist()
+        self.live_bytes_after = live_after_admit * elem
         self.release_seq = release_seq
         self.evict_events = np.asarray(evict_events, dtype=np.float64)
         self.evict_step_bytes = evict_step_bytes
@@ -492,8 +503,7 @@ class _FastRun:
         csc0 = self._csc0
         untouched = trajectory(csc0)
         step_cycles0, mem_c0, leftover0 = untouched
-        live_bytes_before = buf.live_before_admit * buf.element_bytes
-        slack0 = buf.csr_capacity_bytes - (live_bytes_before + resident_in)
+        slack0 = buf.csr_capacity_bytes - (buf.live_bytes_before + resident_in)
 
         fires = (
             config.eager_is
@@ -504,9 +514,7 @@ class _FastRun:
                 step_cycles0, csc0, np.zeros(plan.n_steps), resident_in,
             )
             mem_c = mem_c0
-            peak_candidates = (
-                buf.live_after_admit[:n_sub] * buf.element_bytes + resident_in
-            )
+            peak_candidates = buf.live_bytes_after[:n_sub] + resident_in
         else:
             step_cycles, csc, eager, peak_candidates, resident_out, mem_c = (
                 self._scan_pair(
@@ -550,58 +558,64 @@ class _FastRun:
         (the same expressions with zero column demand) serve every step
         whose column the prefetcher left alone or pulled entirely; only
         a partially prefetched column runs the scalar formula.
+
+        The loop keeps only its state and the arrays most steps read as
+        Python lists; the partial-column inputs (8% of steps) are
+        indexed in place. It writes down the partial steps' costs and
+        the residency after each step, and the outputs are assembled
+        with numpy afterwards. ``r if r > 0.0 else
+        0.0`` is the same float as ``max(0.0, r)`` for every ``r``,
+        ``-0.0`` and NaN included, without a builtin call per step. A
+        column the prefetcher empties moves ``first_nz`` past it at
+        once instead of on the next visit; empty columns take nothing,
+        so the same bytes move in the same order. No skip-ahead: 44% of
+        steps prefetch, in runs of ~8, so the idle stretches between
+        them (~10 steps) are too short to pay for finding them.
         """
         n_sub = self.plan.n_subtensors
         achievable = self._achievable
         csr_cap = buf.csr_capacity_bytes
         banked = self._banked
         csc_hint = self._hints.get("csc", _DEFAULT_BURST_HINT)
+        rl_m, vc_m, wb_m = static_mem
 
-        # Per-step outputs start as the static trajectory (which also
-        # covers the drain tail) and are overwritten where a column was
-        # touched. Prefetches only ever reach columns past the current
-        # step, so ``remaining`` ends as each step's column demand.
-        step_cycles, mem_c, left0 = (a.tolist() for a in untouched)
-        cycf, memf, leftf = (a.tolist() for a in fetched)
+        # Prefetches only ever reach columns past the current step, so
+        # ``remaining`` ends as each step's column demand.
         csc0 = self._csc0.tolist()
-        remaining = list(csc0)
-        eager = [0.0] * len(csc0)
-        peak_candidates = [0.0] * n_sub
+        remaining = csc0.copy()
+        left0 = untouched[2].tolist()
+        leftf = fetched[2].tolist()
+        live_before = buf.live_bytes_before_list
         prefetched = [0.0] * n_sub
-        fixed = fixed_c.tolist()
-        rl_m, vc_m, wb_m = (a.tolist() for a in static_mem)
-        reload_l = reload.tolist()
-        vec_l = vec_read.tolist()
-        wb_l = writeback.tolist()
-        live_before = (buf.live_before_admit * buf.element_bytes).tolist()
-        live_after = (buf.live_after_admit * buf.element_bytes).tolist()
+        resident_at = [0.0] * n_sub
+        eager = [0.0] * len(csc0)
+        partial = {}  # step -> (step cycles, memory cycles)
 
         resident = resident_in
         first_nz = 0
         for s in range(n_sub):
-            released = prefetched[s]
-            resident = max(0.0, resident - released)
+            r = resident - prefetched[s]
+            resident = r if r > 0.0 else 0.0  # == max(0.0, r), NaN included
             csc_due = remaining[s]
             if csc_due == csc0[s]:
                 leftover = left0[s]
             elif csc_due == 0.0:
-                step_cycles[s] = cycf[s]
-                mem_c[s] = memf[s]
                 leftover = leftf[s]
             else:
                 if banked is None:
-                    mem = (((csc_due + rl_m[s]) + vc_m[s]) + wb_m[s]) / achievable
+                    mem = float(
+                        (((csc_due + rl_m[s]) + vc_m[s]) + wb_m[s]) / achievable)
                 else:
-                    mem = (
+                    mem = float((
                         (banked.cycles(csc_due, csc_hint) + rl_m[s]) + vc_m[s]
-                    ) + wb_m[s]
-                cyc = fixed[s] if fixed[s] >= mem else mem
-                demand = (
-                    (((csc_due + reload_l[s]) + vec_l[s]) + wb_l[s])
+                    ) + wb_m[s])
+                fixed = float(fixed_c[s])
+                cyc = fixed if fixed >= mem else mem
+                demand = float(
+                    (((csc_due + reload[s]) + vec_read[s]) + writeback[s])
                     + extra_dram_share
                 )
-                step_cycles[s] = cyc
-                mem_c[s] = mem
+                partial[s] = (cyc, mem)
                 leftover = cyc * achievable - demand
             if leftover > 0:
                 slack = csr_cap - (live_before[s] + resident)
@@ -611,24 +625,44 @@ class _FastRun:
                         first_nz = s + 1
                     t = first_nz
                     moved = 0.0
-                    while budget > 0 and t < n_sub:
+                    while t < n_sub:
                         rem = remaining[t]
                         if rem > 0:
-                            take = budget if budget <= rem else rem
-                            remaining[t] = rem - take
-                            prefetched[t] += take
-                            moved += take
-                            budget -= take
+                            if budget < rem:
+                                remaining[t] = rem - budget
+                                prefetched[t] += budget
+                                moved += budget
+                                break
+                            remaining[t] = 0.0
+                            prefetched[t] += rem
+                            moved += rem
+                            budget -= rem
+                            if t == first_nz:
+                                first_nz = t + 1
+                            if budget <= 0:
+                                break
                         elif t == first_nz:
                             first_nz = t + 1
                         t += 1
                     resident += moved
                     eager[s] = moved
-            peak_candidates[s] = live_after[s] + resident
-        return (
-            np.asarray(step_cycles), np.asarray(remaining), np.asarray(eager),
-            np.asarray(peak_candidates), resident, np.asarray(mem_c),
-        )
+            resident_at[s] = resident
+
+        # Per-step outputs: the static trajectory (which also covers the
+        # drain tail), overwritten where a column was touched. A step's
+        # column demand is final once the scan is past it, so the fully
+        # prefetched steps are the nonempty columns left at zero.
+        due = np.asarray(remaining)
+        fetched_steps = np.flatnonzero((due == 0.0) & (self._csc0 != 0.0))
+        step_cycles, mem_c = untouched[0].copy(), untouched[1].copy()
+        step_cycles[fetched_steps] = fetched[0][fetched_steps]
+        mem_c[fetched_steps] = fetched[1][fetched_steps]
+        if partial:
+            steps = list(partial)
+            step_cycles[steps], mem_c[steps] = zip(*partial.values())
+        peak_candidates = buf.live_bytes_after[:n_sub] + np.asarray(resident_at)
+        return (step_cycles, due, np.asarray(eager), peak_candidates,
+                resident, mem_c)
 
     # ------------------------------------------------------------------
     # Streamed single iteration

@@ -23,12 +23,23 @@ re-running the functional workload (:meth:`ResultCache.get_profile` /
 ``cache.misses`` stay ``SimResult`` probes only, and ``len()`` counts
 result entries only.
 
+**Reorder permutations** are the third kind, keyed by
+``(code_version, "permutation", matrix, reorder)``: a reorder depends
+only on the matrix, not on the config or the block size, so a fresh
+context reads each one instead of re-running the reorder
+(:meth:`ResultCache.get_permutation` /
+:meth:`ResultCache.put_permutation`). A stored permutation must be a
+permutation of ``range(n)`` for the matrix's ``n`` or it is
+quarantined. They count under ``cache.permutation_hits`` /
+``cache.permutation_misses``.
+
 Each document stores its full key beside the payload, so a hash
 collision or a hand-edited row degrades to a miss, never a wrong
 result. A row that fails to parse, fails the key check or fails to
 decode is **quarantined**: removed from the table, its text kept as
 ``<root>/quarantine/<arch>-<workload>-<matrix>-<digest>.json``
-(``<workload>-<matrix>-<digest>.json`` for profiles) with an ``SP604``
+(``<workload>-<matrix>-<digest>.json`` for profiles,
+``<matrix>-<reorder>-<digest>.json`` for permutations) with an ``SP604``
 diagnostic in :attr:`ResultCache.diagnostics`, so it misses exactly
 once and the next put re-populates the slot. A store file that is not
 a database at all (garbage bytes, a truncated copy) is quarantined
@@ -62,6 +73,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.arch.profile import WorkloadProfile
 from repro.arch.stats import SimResult
 from repro.errors import Diagnostic
@@ -85,7 +98,8 @@ STORE_FILE = "store.sqlite"
 #: Seconds a statement waits for another process's write to commit.
 BUSY_TIMEOUT_S = 60.0
 
-#: ``kind`` is the payload field: ``"result"`` or ``"profile"``.
+#: ``kind`` is the payload field: ``"result"``, ``"profile"`` or
+#: ``"permutation"``.
 _SCHEMA = ("CREATE TABLE IF NOT EXISTS entries "
            "(key TEXT PRIMARY KEY, kind TEXT NOT NULL, doc TEXT NOT NULL)")
 
@@ -101,6 +115,19 @@ class CacheEntry:
 def _entry_name(stem: str, key: str) -> str:
     digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
     return f"{stem}-{digest}.json"
+
+
+def _permutation(values, n: int) -> np.ndarray:
+    """Decode a stored permutation; ValueError unless it is an integer
+    permutation of ``range(n)``."""
+    perm = np.array(values)
+    if perm.size == 0:
+        perm = perm.astype(np.int64)
+    if perm.shape != (n,) or perm.dtype != np.int64 or (
+            n and not (perm.min() >= 0 and perm.max() < n
+                       and np.bincount(perm, minlength=n).all())):
+        raise ValueError(f"not a permutation of range({n})")
+    return perm
 
 
 def _close(db, pid: int) -> None:
@@ -141,7 +168,8 @@ def _connect(path: Path, on_corrupt: Callable[[Exception], None]):
 
 class ResultCache:
     """One SQLite file of per-point SimResult JSON documents, plus one
-    profile document per (workload, matrix)."""
+    profile document per (workload, matrix) and one permutation per
+    (matrix, reorder)."""
 
     def __init__(
         self,
@@ -153,7 +181,8 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         #: Optional MetricsRegistry the store reports through
         #: (``cache.hits`` / ``cache.misses`` / ``cache.profile_hits`` /
-        #: ``cache.profile_misses``).
+        #: ``cache.profile_misses`` / ``cache.permutation_hits`` /
+        #: ``cache.permutation_misses``).
         self.metrics = metrics
         # Resolved at construction so tests can monkeypatch CODE_VERSION.
         self.code_version = str(
@@ -251,8 +280,13 @@ class ResultCache:
             [self.code_version, "profile", str(workload), str(matrix)])
         return _entry_name(f"{workload}-{matrix}", key), key
 
+    def _permutation_entry(self, matrix, reorder) -> Tuple[str, str]:
+        key = json.dumps(
+            [self.code_version, "permutation", str(matrix), str(reorder)])
+        return _entry_name(f"{matrix}-{reorder}", key), key
+
     # ------------------------------------------------------------------
-    # One get/put pair for both kinds
+    # One get/put pair for every kind
     # ------------------------------------------------------------------
     def _get(self, name: str, key: str, kind: str, decode: Callable,
              fault_site: Optional[str] = None):
@@ -362,17 +396,39 @@ class ResultCache:
                          {"key": key, "profile": profile.to_dict()})
 
     # ------------------------------------------------------------------
+    # Reorder permutations
+    # ------------------------------------------------------------------
+    def get_permutation(self, matrix, reorder, n: int) -> Optional[np.ndarray]:
+        """Stored ``reorder`` permutation of an ``n``-row ``matrix``, or
+        None on any kind of miss (a row that is not a permutation of
+        ``range(n)`` is quarantined, as for results)."""
+        name, key = self._permutation_entry(matrix, reorder)
+        found = self._get(name, key, "permutation",
+                          lambda values: _permutation(values, n))
+        self._count(
+            "cache.permutation_misses" if found is None
+            else "cache.permutation_hits"
+        )
+        return None if found is None else found[1]
+
+    def put_permutation(self, matrix, reorder, perm: np.ndarray) -> str:
+        """Store one permutation; returns its key."""
+        _name, key = self._permutation_entry(matrix, reorder)
+        return self._put(key, "permutation",
+                         {"key": key, "permutation": perm.tolist()})
+
+    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        """Result entries (profile entries are not counted)."""
+        """Result entries (profiles and permutations are not counted)."""
         with self._lock:
             return self._db.execute(
                 "SELECT COUNT(*) FROM entries WHERE kind = 'result'"
             ).fetchone()[0]
 
     def clear(self) -> int:
-        """Delete every entry, result and profile alike; returns the
+        """Delete every entry of every kind; returns the
         number of result entries removed, as :meth:`__len__` counts
         them. Quarantined corpses are kept for auditing."""
         with self._lock:

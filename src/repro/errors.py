@@ -108,10 +108,6 @@ class FormatError(ReproError, ValueError):
     indices, out-of-range coordinates, ...)."""
 
 
-class TypeMismatchError(ReproError, TypeError):
-    """Operands carry incompatible value types for the requested semiring."""
-
-
 class CompileError(ReproError, ValueError):
     """The dataflow compiler or static verifier rejected a tensor
     program (e.g. no OEI subgraph where one was required, or an

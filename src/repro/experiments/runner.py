@@ -11,8 +11,9 @@ keys are content hashes (:meth:`SparsepipeConfig.cache_key`), shared
 by the optional on-disk cache (``cache_dir``) so repeated figure and
 benchmark runs are near-free, and :meth:`simulate_many` fans a sweep
 out over a process pool with deterministic, serial-identical results.
-The store also keeps each (workload, matrix) profile, which no config
-changes, so a config sweep over a filled store never re-characterizes;
+The store also keeps each (workload, matrix) profile and each
+(matrix, reorder) permutation, which no config changes, so a config
+sweep over a filled store never re-characterizes or re-reorders;
 a missed point is probed once, keyed once and simulated directly.
 
 Resilience (:mod:`repro.resilience`): the fan-out is supervised — a
@@ -58,7 +59,11 @@ from repro.graphblas.matrix import Matrix
 from repro.matrices.suite import SUITE, load_suite_matrix, suite_names
 from repro.obs.manifest import RunManifest, Stopwatch, build_manifest
 from repro.obs.metrics import MetricsRegistry, registry_from_result
-from repro.preprocess.pipeline import PreprocessResult, preprocess
+from repro.preprocess.pipeline import (
+    PreprocessResult,
+    preprocess,
+    reorder_algorithm,
+)
 from repro.workloads.registry import get_workload, workload_names
 
 #: Architectures the experiments compare (the engine registry's view).
@@ -158,15 +163,28 @@ class ExperimentContext:
         block_size: object = "default",
     ) -> PreprocessResult:
         """Preprocessed matrix; pass explicit ``reorder``/``block_size``
-        for the Fig 19/20 sensitivity variants."""
-        if reorder == "default":
-            reorder = self.reorder
-        if block_size == "default":
-            block_size = self.block_size
+        for the Fig 19/20 sensitivity variants.
+
+        The reorder permutation depends only on the matrix, so it is
+        read from the on-disk store when there is one; only a miss runs
+        the reorder and stores the permutation.
+        """
+        reorder, block_size = self._resolve(reorder, block_size)
         key = (matrix_name, reorder, block_size)
         if key not in self._preps:
+            matrix = load_suite_matrix(matrix_name)
+            perm = None
+            if reorder is not None and self._disk is not None:
+                algorithm = reorder_algorithm(reorder)
+                perm = self._disk.get_permutation(
+                    matrix_name, reorder, matrix.nrows)
+                self._surface_quarantines()
+                if perm is None:
+                    perm = algorithm(matrix)
+                    self._disk.put_permutation(matrix_name, reorder, perm)
             self._preps[key] = preprocess(
-                load_suite_matrix(matrix_name), reorder=reorder, block_size=block_size
+                matrix, reorder=reorder, block_size=block_size,
+                permutation=perm,
             )
         return self._preps[key]
 

@@ -56,10 +56,22 @@ class PreprocessResult:
         return self.blocked_bytes / self.dual_bytes
 
 
+def reorder_algorithm(reorder: str) -> Callable[[COOMatrix], np.ndarray]:
+    """The registered reorder named ``reorder`` (ConfigError otherwise)."""
+    try:
+        return REORDER_ALGORITHMS[reorder]
+    except KeyError:
+        raise ConfigError(
+            f"unknown reorder {reorder!r}; available: "
+            f"{sorted(REORDER_ALGORITHMS)} or None"
+        ) from None
+
+
 def preprocess(
     matrix: COOMatrix,
     reorder: Optional[str] = "graphorder",
     block_size: Optional[int] = 256,
+    permutation: Optional[np.ndarray] = None,
 ) -> PreprocessResult:
     """Reorder (symmetrically) and build (blocked) dual storage.
 
@@ -70,27 +82,30 @@ def preprocess(
     block_size:
         Tile edge for the blocked dual storage, or ``None`` to skip
         blocking (the Fig 19 "no optimization" configuration).
+    permutation:
+        The ``reorder`` permutation of ``matrix`` when the caller
+        already has it (a stored one); computed here when ``None``.
     """
-    perm = None
     reorder_name = "none"
     reordered = matrix
     if reorder is not None:
-        if reorder not in REORDER_ALGORITHMS:
-            raise ConfigError(
-                f"unknown reorder {reorder!r}; available: "
-                f"{sorted(REORDER_ALGORITHMS)} or None"
-            )
-        perm = REORDER_ALGORITHMS[reorder](matrix)
-        reordered = matrix.permute(row_perm=perm, col_perm=perm)
+        algorithm = reorder_algorithm(reorder)
+        if permutation is None:
+            permutation = algorithm(matrix)
+        reordered = matrix.permute(row_perm=permutation, col_perm=permutation)
         reorder_name = reorder
+    elif permutation is not None:
+        raise ConfigError("a permutation needs a reorder name")
 
-    dual = DualStorage.from_coo(reordered)
+    # Sorted and summed once; every storage below is built from it.
+    canonical = reordered.deduplicate()
+    dual = DualStorage.from_coo(canonical)
     blocked = None
     if block_size is not None:
-        blocked = BlockedDualStorage.from_coo(reordered, block_size=block_size)
+        blocked = BlockedDualStorage.from_coo(canonical, block_size=block_size)
     return PreprocessResult(
-        matrix=reordered.deduplicate(),
-        permutation=perm,
+        matrix=canonical,
+        permutation=permutation,
         dual=dual,
         blocked=blocked,
         reorder_name=reorder_name,

@@ -12,7 +12,8 @@ implementations. This suite is that claim, executed:
   contract, where both backends produce the identical ``SimResult``;
 - the prefetch scan over the design-sweep axes (sub-tensor width,
   memory, DRAM model), on a run where every step kind of the scan
-  occurs;
+  occurs, and on runs that reach its resident clamp and its
+  capacity-bound budget;
 - hypothesis property runs over random matrices, widths, and configs;
 - the OEI executor and masked/accumulated ``vxm`` under
   ``kernel="reference"`` vs ``kernel="batched"``.
@@ -29,8 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import fastpath
+from repro.arch import fastpath, simulator
 from repro.arch.config import CPU_DDR4, GPU_GDDR6X, SparsepipeConfig
+from repro.arch.loaders import EagerPrefetcher
 from repro.arch.profile import WorkloadProfile
 from repro.arch.simulator import SparsepipeSimulator
 from repro.engine.instrumentation import StepTraceObserver
@@ -208,6 +210,63 @@ class TestDesignAxes:
         assert kinds["partial"] > 0
         if memory is GPU_GDDR6X:
             assert kinds["fetched"] > 0
+
+    #: (branch, workload, matrix, knobs): knn on ``ro`` at 128 columns
+    #: on DDR4 clamps the residency (a rounding-level negative that
+    #: moves ``buffer_peak_bytes`` if left unclamped); gcn on ``gy``
+    #: with a 20 kB buffer has its budget bounded by the slack.
+    SCAN_BRANCHES = [
+        ("clamp", "knn", "ro", dict(subtensor_cols=128, memory=CPU_DDR4)),
+        ("capacity", "gcn", "gy",
+         dict(subtensor_cols=32, memory=GPU_GDDR6X, buffer_bytes=20000)),
+    ]
+
+    @pytest.mark.parametrize("branch,workload,matrix,knobs", SCAN_BRANCHES,
+                             ids=[b[0] for b in SCAN_BRANCHES])
+    def test_scan_branch_exact(self, contexts, monkeypatch,
+                               branch, workload, matrix, knobs):
+        """The two scan branches no step-kind count shows: the resident
+        clamp (``resident - released < 0.0`` becomes ``0.0``) and the
+        capacity-bound budget (buffer slack below the leftover
+        bandwidth). The reference loop runs the same recurrence step
+        for step, so each branch is counted there, on the run the scan
+        must match bit for bit."""
+        ref_ctx, _ = contexts
+        profile = ref_ctx.profile(workload, matrix)
+        prep = ref_ctx.prepared(matrix)
+        fired = Counter()
+
+        def counting_max(*args):
+            # simulator.py's one two-argument max is the resident clamp.
+            if len(args) == 2 and args[1] < 0.0:
+                fired["clamp"] += 1
+            return max(*args)
+
+        real_prefetch = EagerPrefetcher.prefetch
+
+        def counting_prefetch(self, current, budget_bytes, slack_bytes):
+            if self._enabled and 0.0 < slack_bytes < budget_bytes:
+                fired["capacity"] += 1
+            return real_prefetch(self, current, budget_bytes, slack_bytes)
+
+        real_scan = fastpath._FastRun._scan_pair
+
+        def counting_scan(run, *args, **kwargs):
+            fired["scans"] += 1
+            return real_scan(run, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "max", counting_max, raising=False)
+        monkeypatch.setattr(EagerPrefetcher, "prefetch", counting_prefetch)
+        monkeypatch.setattr(fastpath._FastRun, "_scan_pair", counting_scan)
+        results = [
+            SparsepipeSimulator(SparsepipeConfig(
+                backend=backend, csr_window_fraction=0.5, **knobs,
+            )).run(profile, prep, observers=())
+            for backend in ("reference", "vectorized")
+        ]
+        assert_exact(*results)
+        assert fired["scans"] > 0
+        assert fired[branch] > 0, fired
 
 
 @st.composite

@@ -62,9 +62,8 @@ MATRICES = tuple(suite_names())
 WORKLOADS = tuple(workload_names())
 
 
-def _preprocess_doc(matrix_name: str) -> dict:
-    prep = preprocess(load_suite_matrix(matrix_name), reorder="vanilla",
-                      block_size=256)
+def preprocess_doc(prep) -> dict:
+    """Golden document of one ``vanilla``/256 :class:`PreprocessResult`."""
     coo, blocked = prep.matrix, prep.blocked
     return {
         "permutation": array_digest(prep.permutation),
@@ -157,7 +156,11 @@ def _check(path: Path, actual: dict, update: bool) -> None:
 
 
 def test_preprocess_golden(update_goldens):
-    actual = {name: _preprocess_doc(name) for name in MATRICES}
+    actual = {
+        name: preprocess_doc(preprocess(
+            load_suite_matrix(name), reorder="vanilla", block_size=256))
+        for name in MATRICES
+    }
     _check(PREPROCESS_PATH, actual, update_goldens)
 
 
