@@ -243,9 +243,9 @@ for _s in (
               "cannot hang the sweep"),
         _spec("SP914", "pool-outside-scheduler-backend", Severity.ERROR,
               "ProcessPoolExecutor is an execution substrate and lives "
-              "behind the scheduler protocol; only the localpool "
-              "backend (scheduler/localpool.py) may name it — go "
-              "through repro.scheduler (create_scheduler/run_fanout) "
+              "behind the supervised fan-out; only run_fanout's module "
+              "(scheduler/base.py) may name it — call "
+              "repro.scheduler.run_fanout(..., backend=\"localpool\") "
               "instead"),
     ):
     register_code(_s)

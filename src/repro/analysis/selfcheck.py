@@ -53,10 +53,10 @@ The **SP91x concurrency-safety family** targets sweep execution
   ``Future.result()`` calls can hang an entire sweep behind one dead
   worker.
 - **SP914** — ``ProcessPoolExecutor`` is an execution substrate and
-  belongs behind the scheduler protocol: only the ``localpool``
-  backend (``scheduler/localpool.py``) may name it. ``simulate_many``
-  and ``autotune`` stay backend-agnostic — code that wants a pool goes
-  through :mod:`repro.scheduler`.
+  belongs behind the supervised fan-out: only ``scheduler/base.py``,
+  home of :func:`repro.scheduler.run_fanout`, may name it.
+  ``simulate_many`` and ``autotune`` name a backend and call
+  ``run_fanout`` — code that wants a pool goes through it.
 
 Run it with ``python -m repro selfcheck`` (wired into CI's lint job).
 """
@@ -95,9 +95,9 @@ INITIALIZER_MARKERS = ("init", "worker", "install", "ensure", "boot")
 #: Supervisor-side modules that must never block unboundedly (SP913).
 SUPERVISOR_PATHS = ("resilience/", "scheduler/")
 
-#: The one module allowed to name ProcessPoolExecutor — the pool
-#: substrate behind the scheduler protocol (SP914).
-POOL_BACKEND = "scheduler/localpool.py"
+#: The one module allowed to name ProcessPoolExecutor — the home of
+#: run_fanout, whose localpool backend is the pool substrate (SP914).
+POOL_BACKEND = "scheduler/base.py"
 
 #: Calls that introduce nondeterminism when they appear in a hot path.
 _CLOCK_CALLS = {
@@ -439,7 +439,7 @@ def _check_blocking_waits(ctx: ModuleContext, report: DiagnosticReport) -> None:
 
 
 # ----------------------------------------------------------------------
-# SP914: ProcessPoolExecutor confined to the localpool backend
+# SP914: ProcessPoolExecutor confined to run_fanout's module
 # ----------------------------------------------------------------------
 def _check_pool_confinement(
     ctx: ModuleContext, report: DiagnosticReport
@@ -457,10 +457,10 @@ def _check_pool_confinement(
         else:
             continue
         report.add("SP914",
-                   "names ProcessPoolExecutor outside the localpool "
-                   f"backend ({POOL_BACKEND}); execution substrates live "
-                   "behind the scheduler protocol — use "
-                   "repro.scheduler.create_scheduler/run_fanout",
+                   "names ProcessPoolExecutor outside run_fanout's "
+                   f"module ({POOL_BACKEND}); execution substrates live "
+                   "behind the supervised fan-out — use "
+                   "repro.scheduler.run_fanout(..., backend=\"localpool\")",
                    f"{ctx.rel}:{lineno}")
 
 

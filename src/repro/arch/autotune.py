@@ -7,10 +7,11 @@ implements that exploration: candidate widths are evaluated on a
 bounded prefix of the run (the "initial steps") and the fastest is
 adopted for the remainder.
 
-Candidate probes are independent pure simulations, so they fan out
-over the scheduler protocol (``scheduler="localpool"`` probes widths
-in parallel; ``docs/scheduling.md``). Selection is deterministic
-either way: lowest cycle count wins, first candidate wins ties.
+Candidate probes are independent pure simulations, so they always run
+through :func:`repro.scheduler.run_fanout` (``scheduler="localpool"``
+probes widths in parallel; ``docs/scheduling.md``). Selection is
+deterministic either way: lowest cycle count wins, first candidate
+wins ties.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.engine.registry import run_engine
 from repro.errors import ConfigError
 from repro.formats.coo import COOMatrix
 from repro.preprocess.pipeline import PreprocessResult
+from repro.scheduler import run_fanout
 
 #: Default widths explored, bracketing the paper's configuration.
 DEFAULT_CANDIDATES = (32, 64, 128, 256, 512)
@@ -48,9 +50,9 @@ def autotune_subtensor_cols(
     exploration cost stays a small fraction of the full run — exactly
     the paper's "initial steps" budget. ``arch`` dispatches through
     the architecture registry, so any registered config-taking engine
-    can be tuned the same way. ``scheduler`` (a backend name) fans the
-    candidate probes out over that substrate; ``None`` probes serially
-    in-process, the historical behavior.
+    can be tuned the same way. ``scheduler`` (a backend name) is the
+    ``run_fanout`` backend of the candidate probes; ``None`` probes
+    serially in-process.
     """
     if not candidates:
         raise ConfigError("autotuning needs at least one candidate width")
@@ -83,24 +85,14 @@ def _probe_cycles(
     widths: Sequence[int], arch, config, probe_profile, matrix, paper_nnz,
     scheduler: Optional[str], max_workers: Optional[int],
 ) -> List[float]:
-    if scheduler is None:
-        _init_probe_worker(arch, config, probe_profile, matrix, paper_nnz)
-        return [_probe_width(width) for width in widths]
-    from repro.scheduler import create_scheduler, run_fanout
-
-    sched = create_scheduler(
-        scheduler,
+    outcome = run_fanout(
+        _probe_width, widths,
+        backend=scheduler or "inprocess",
         max_workers=max_workers,
         initializer=_init_probe_worker,
         initargs=(arch, config, probe_profile, matrix, paper_nnz),
+        labels=[f"width={w}" for w in widths],
     )
-    try:
-        outcome = run_fanout(
-            sched, _probe_width, widths,
-            labels=[f"width={w}" for w in widths],
-        )
-    finally:
-        sched.shutdown()
     return outcome.results
 
 

@@ -132,10 +132,6 @@ class OnChipBuffer:
         """Reload bytes that must be fetched for the IS stage at ``step``."""
         return self._reload_due.pop(step, 0.0)
 
-    def pending_reload_bytes(self) -> float:
-        """Total scheduled ping-pong traffic not yet re-fetched."""
-        return sum(self._reload_due.values())
-
     def drain_check(self) -> None:
         """At end of a pair the window must be empty — anything left is
         a scheduling bug."""

@@ -15,22 +15,8 @@ differ in how work maps onto the array:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.arch.config import SparsepipeConfig
-
-
-@dataclass(frozen=True)
-class CoreTimings:
-    """Per-step cycle costs of the three pipeline stages."""
-
-    os_cycles: float
-    ewise_cycles: float
-    is_cycles: float
-
-    @property
-    def bottleneck(self) -> float:
-        return max(self.os_cycles, self.ewise_cycles, self.is_cycles)
 
 
 class ComputePipeline:

@@ -86,17 +86,6 @@ class PipelineActivityObserver(Observer):
             out.append(name if worst >= cycles else "overhead")
         return out
 
-    def busy_fraction(self) -> Dict[str, float]:
-        """Fraction of recorded steps each component bound — the
-        scalar companion to the per-step timeline the observability
-        layer (:class:`~repro.obs.timeline.TimelineObserver`) exports."""
-        names = self.bottlenecks()
-        if not names:
-            return {}
-        return {
-            comp: names.count(comp) / len(names) for comp in sorted(set(names))
-        }
-
     def render_bottlenecks(self, max_steps: int = 16) -> str:
         """ASCII occupancy chart of the measured pipeline steps."""
         if not self.steps:

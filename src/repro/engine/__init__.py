@@ -13,7 +13,7 @@ of the individual models and drivers:
 - :mod:`repro.engine.cache` — the persistent on-disk result cache
   keyed by content (config hash + code version).
 
-Sweep fan-out lives in :mod:`repro.scheduler`.
+Sweep fan-out is one function, :func:`repro.scheduler.run_fanout`.
 """
 
 from repro.engine.cache import CODE_VERSION, CacheEntry, ResultCache

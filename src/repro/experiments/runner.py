@@ -51,9 +51,8 @@ from repro.scheduler import (
     DEFAULT_RETRIES,
     POLICIES,
     FanoutOutcome,
-    create_scheduler,
+    check_backend,
     run_fanout,
-    scheduler_class,
 )
 from repro.graphblas.matrix import Matrix
 from repro.matrices.suite import SUITE, load_suite_matrix, suite_names
@@ -121,7 +120,7 @@ class ExperimentContext:
             raise ConfigError(
                 f"on_error must be one of {POLICIES}, got {self.on_error!r}")
         if self.scheduler is not None:
-            scheduler_class(self.scheduler)  # ConfigError on unknown names
+            check_backend(self.scheduler)
         self._preps: Dict[Tuple, PreprocessResult] = {}
         self._graphblas: Dict[str, Matrix] = {}
         self._profiles: Dict[Tuple[str, str], WorkloadProfile] = {}
@@ -462,32 +461,29 @@ class ExperimentContext:
                 # materialized matrix, profile, and preprocessing.
                 ordered = sorted(missing, key=lambda p: (p[2], p[1], p[0]))
                 fn = _simulate_one_point
-                sched = create_scheduler(
-                    backend,
-                    max_workers=workers,
-                    initializer=_init_worker_context,
-                    initargs=(cfg, reorder, block_size),
-                    timeout_s=self.timeout_s,
-                )
+                initializer = _init_worker_context
+                initargs = (cfg, reorder, block_size)
             else:
                 ordered = list(missing)
+                initializer, initargs = None, ()
 
                 def fn(p: Point) -> SimResult:
                     # Already probed above: simulate directly, without
                     # re-keying or a second (miss-counting) store probe.
                     return self._simulate_fresh(missing[p], cfg)
 
-                sched = create_scheduler(backend, timeout_s=self.timeout_s)
-            try:
-                outcome = run_fanout(
-                    sched, fn, ordered,
-                    on_error=policy,
-                    retries=self.retries,
-                    labels=["/".join(p) for p in ordered],
-                    metrics=self.metrics,
-                )
-            finally:
-                sched.shutdown()
+            outcome = run_fanout(
+                fn, ordered,
+                backend=backend,
+                max_workers=workers,
+                initializer=initializer,
+                initargs=initargs,
+                timeout_s=self.timeout_s,
+                on_error=policy,
+                retries=self.retries,
+                labels=["/".join(p) for p in ordered],
+                metrics=self.metrics,
+            )
             self._absorb_outcome(outcome, [missing[p] for p in ordered])
         return [self._results.get(key) for key in keys]
 

@@ -1,59 +1,54 @@
-"""The scheduler protocol: one job-lifecycle contract, two substrates.
+"""Supervised fan-out: one function over two execution substrates.
 
-A :class:`Scheduler` owns the *execution substrate* of a fan-out —
-where each job's first attempt physically runs — behind three verbs:
+:func:`run_fanout` maps ``fn`` over ``items`` and owns everything a
+sweep needs around the calls: ordered results, the failure policy
+(``raise`` / ``skip`` / ``retry``), bounded re-attempts (SP602),
+failure records (SP603), the per-item watchdog (SP606), pool-break
+degradation (SP601) and the ``scheduler.*`` counters.
 
-``submit``
-    Enqueue one ``(fn, item)`` as a :class:`SchedulerJob` (PENDING).
-    Nothing executes yet; submission is cheap and never fails on the
-    item's behalf.
-``poll``
-    Drive the substrate far enough to know the job's status and
-    return it. A terminal status (DONE / FAILED) means ``result`` /
-    ``exception`` are populated.
-``shutdown``
-    Release the substrate.
+The *backend* picks where first attempts run:
 
-The **policy layer** — retries (SP602), skip/raise (SP603), watchdog
-(SP606), degrade accounting (SP601) — lives here in
-:func:`run_fanout` and is deliberately *backend-agnostic*: every
-re-attempt runs in the submitting process via
-:meth:`Scheduler.rerun`, so the at-most-once-per-process fault
-semantics of :mod:`repro.resilience.faults` hold identically on every
-backend, and the chaos suite doubles as the scheduler-conformance
-oracle. Backends supply only the first attempt.
+``inprocess``
+    Serially in the calling process — no pickling, no forks,
+    breakpoints work.
+``localpool``
+    One ``ProcessPoolExecutor`` pass (this is the only module allowed
+    to name it — selfcheck SP914), when there is more than one item
+    and more than one worker is allowed.
 
-Backends are resolved by name through
-:func:`repro.scheduler.create_scheduler`; see ``docs/scheduling.md``
-for the backend matrix.
+Every other attempt — retries, and the first attempts a broken or
+unavailable pool never answered — runs here, item by item, under the
+watchdog, so the at-most-once-per-process fault semantics of
+:mod:`repro.resilience.faults` hold identically on both backends and
+the chaos suite doubles as the conformance oracle. See
+``docs/scheduling.md``.
 """
 
 from __future__ import annotations
 
-import itertools
+import os
+import pickle
 import threading
-from abc import ABC, abstractmethod
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar,
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar,
 )
 
-from repro.errors import Diagnostic, WatchdogTimeout
+from repro.errors import ConfigError, Diagnostic, WatchdogTimeout
+from repro.resilience import faults
 
 T = TypeVar("T")
+
+#: Every backend, by the name ``run_fanout`` and ``--scheduler`` accept.
+BACKENDS = ("inprocess", "localpool")
 
 #: Valid ``on_error`` policies of :func:`run_fanout`.
 POLICIES = ("raise", "skip", "retry")
 
 #: Default bounded re-attempts under ``on_error="retry"``.
 DEFAULT_RETRIES = 2
-
-#: Job lifecycle states. DONE and FAILED are terminal; RUNNING is
-#: transient, substrate-side.
-PENDING = "pending"
-RUNNING = "running"
-DONE = "done"
-FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -91,24 +86,49 @@ class FanoutOutcome:
         return {f.index: f for f in self.failures}
 
 
-@dataclass
-class SchedulerJob:
-    """One submitted unit of work, owned by exactly one scheduler."""
+def check_backend(name: str) -> None:
+    """ConfigError unless ``name`` is one of :data:`BACKENDS`."""
+    if name not in BACKENDS:
+        raise ConfigError(
+            f"unknown scheduler backend {name!r}; expected one of {BACKENDS}")
 
-    job_id: str
-    index: int
-    fn: Callable
-    item: Any
-    label: str
-    status: str = PENDING
-    result: Any = None
-    #: The exception behind a FAILED status (always set on failure —
-    #: pool workers that cannot pickle theirs send a wrapped repr).
-    exception: Optional[BaseException] = None
 
-    @property
-    def error(self) -> Optional[str]:
-        return None if self.exception is None else str(self.exception)
+def pool_chunksize(n_items: int, max_workers: Optional[int]) -> int:
+    """Chunk size giving each worker ~2 chunks for tail-balancing.
+
+    ``ProcessPoolExecutor`` defaults ``max_workers`` to
+    ``os.cpu_count()``, so that — not a guess from the item count — is
+    the worker count the heuristic must divide by.
+    """
+    workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
+    return max(1, -(-n_items // (max(1, workers) * 2)))
+
+
+def _worker_boot(initializer, initargs, plan) -> None:
+    """Pool-worker initializer: mark the process as a worker (arms
+    ``worker_death`` faults), install the parent's fault plan (fork
+    inherits it, spawn would not), then run the caller's init."""
+    faults.mark_worker()
+    if plan is not None:
+        faults.install(plan)
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def _pooled_call(payload: Tuple) -> Tuple:
+    """In-worker wrapper: run one item and return ``("ok", result)`` or
+    ``("err", exception)`` — so a raising item is a *value*, not a dead
+    map iterator."""
+    fn, item = payload
+    try:
+        result = fn(item)
+    except Exception as exc:
+        try:
+            pickle.dumps(exc)
+        except Exception:
+            exc = RuntimeError(repr(exc))
+        return ("err", exc)
+    return ("ok", result)
 
 
 def _call_with_watchdog(fn: Callable[[T], Any], item: T,
@@ -141,193 +161,136 @@ def _call_with_watchdog(fn: Callable[[T], Any], item: T,
     return box["result"]
 
 
-class Scheduler(ABC):
-    """One execution substrate behind the three-verb protocol.
-
-    Every backend shares the constructor surface (``max_workers``,
-    ``initializer``/``initargs``, ``chunksize``, ``timeout_s``) so the
-    policy layer can swap substrates without renegotiating options.
-    """
-
-    #: Backend name (the ``scheduler.backend.<name>`` metric); subclasses
-    #: override.
-    name: str = "abstract"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        initializer: Optional[Callable] = None,
-        initargs: Sequence = (),
-        chunksize: Optional[int] = None,
-        timeout_s: Optional[float] = None,
-    ) -> None:
-        self.max_workers = max_workers
-        self.initializer = initializer
-        self.initargs = tuple(initargs)
-        self.chunksize = chunksize
-        self.timeout_s = timeout_s
-        #: Substrate degradations (SP601) drained by the policy layer.
-        self._diagnostics: List[Diagnostic] = []
-        self.degraded = False
-        self._ids = itertools.count(1)
-        self._jobs: List[SchedulerJob] = []
-        self._initialized = False
-
-    # ------------------------------------------------------------------
-    # Protocol
-    # ------------------------------------------------------------------
-    def submit(self, fn: Callable, item: Any, index: int = 0,
-               label: Optional[str] = None) -> SchedulerJob:
-        """Enqueue one ``(fn, item)``; returns the PENDING job."""
-        job = SchedulerJob(
-            job_id=f"{self.name}-{next(self._ids):06d}",
-            index=index, fn=fn, item=item,
-            label=label if label is not None else repr(item),
-        )
-        self._jobs.append(job)
-        return job
-
-    def poll(self, job: SchedulerJob) -> str:
-        """Drive the substrate until ``job``'s status is known."""
-        if job.status == PENDING:
-            self._drive(job)
-        return job.status
-
-    def shutdown(self) -> None:
-        """Release the substrate. Idempotent; the base class holds no
-        external resources."""
-
-    # ------------------------------------------------------------------
-    # Policy-layer hooks
-    # ------------------------------------------------------------------
-    def rerun(self, job: SchedulerJob) -> None:
-        """Re-attempt one failed job **in the submitting process** —
-        uniform across backends so retry semantics (and the fault
-        harness's per-process at-most-once firing) never depend on the
-        substrate."""
-        job.status = PENDING
-        job.result = None
-        job.exception = None
-        self._execute_inprocess(job)
-
-    def drain_diagnostics(self) -> List[Diagnostic]:
-        """Substrate diagnostics (SP601) accumulated since last drain."""
-        drained, self._diagnostics = self._diagnostics, []
-        return drained
-
-    # ------------------------------------------------------------------
-    # Shared machinery for subclasses
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def _drive(self, job: SchedulerJob) -> None:
-        """Execute enough pending work for ``job`` to be terminal."""
-
-    def _degrade(self, message: str) -> None:
-        self.degraded = True
-        self._diagnostics.append(Diagnostic.warning("SP601", message))
-
-    def _ensure_worker_init(self) -> None:
-        """Run the caller's initializer once in this process (the
-        in-process attempts are all siblings of the submitter)."""
-        if self._initialized:
-            return
-        self._initialized = True
-        if self.initializer is not None:
-            self.initializer(*self.initargs)
-
-    def _execute_inprocess(self, job: SchedulerJob) -> None:
-        """Run one job here, under the watchdog."""
-        self._ensure_worker_init()
-        job.status = RUNNING
-        try:
-            result = _call_with_watchdog(job.fn, job.item, self.timeout_s)
-        except Exception as exc:
-            job.exception = exc
-            job.status = FAILED
-        else:
-            job.result = result
-            job.status = DONE
+def _pool_pass(fn, items: List, max_workers: Optional[int], initializer,
+               initargs: Sequence, outcome: FanoutOutcome) -> List[Tuple]:
+    """First attempts of ``items`` through one pool map, as
+    ``(tag, value)`` pairs in input order. Items the pool never
+    answered (break, result-pickling failure, no pool at all) are
+    missing from the tail of the returned list."""
+    answered: List[Tuple] = []
+    try:
+        with ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=_worker_boot,
+            initargs=(initializer, tuple(initargs), faults.active_plan()),
+        ) as pool:
+            try:
+                # map() submits every chunk up front; a worker that dies
+                # meanwhile breaks the pool inside this call already.
+                for pair in pool.map(
+                    _pooled_call, [(fn, item) for item in items],
+                    chunksize=pool_chunksize(len(items), max_workers),
+                ):
+                    answered.append(pair)
+            except BrokenProcessPool:
+                outcome.pool_broken = True
+                outcome.diagnostics.append(Diagnostic.warning(
+                    "SP601",
+                    f"process pool broke after {len(answered)}/{len(items)} "
+                    "item(s) (worker killed?); completing the sweep "
+                    "serially in-process"))
+            except Exception:
+                # A result failed to come back (e.g. unpicklable); the
+                # chunked iterator is dead — the tail runs in-process.
+                pass
+    except (OSError, PermissionError, ValueError):
+        # No semaphores / fork denied: silent in-process degrade.
+        pass
+    return answered
 
 
-# ----------------------------------------------------------------------
-# The backend-agnostic policy driver
-# ----------------------------------------------------------------------
 def _count(metrics, name: str, n: int = 1) -> None:
     if metrics is not None and n:
         metrics.counter(name).inc(n)
 
 
 def run_fanout(
-    scheduler: Scheduler,
     fn: Callable[[T], Any],
     items: Iterable[T],
+    backend: str = "inprocess",
+    max_workers: Optional[int] = None,
+    initializer: Optional[Callable] = None,
+    initargs: Sequence = (),
+    timeout_s: Optional[float] = None,
     on_error: str = "raise",
     retries: int = DEFAULT_RETRIES,
     labels: Optional[Sequence[str]] = None,
     metrics=None,
 ) -> FanoutOutcome:
-    """Map ``fn`` over ``items`` on ``scheduler`` under the supervised
-    failure policy (``"raise"`` | ``"skip"`` | ``"retry"``).
+    """Map ``fn`` over ``items`` under the supervised failure policy
+    (``"raise"`` | ``"skip"`` | ``"retry"``).
 
-    First attempts run on the scheduler's substrate; every re-attempt
-    (``on_error="retry"``) runs in the submitting process via
-    :meth:`Scheduler.rerun`. Order-preserving and, for pure ``fn``,
-    bit-identical to a serial run regardless of backend or
-    degradation path. ``metrics`` (a
+    First attempts run in one pool pass on ``backend="localpool"``
+    (more than one item, more than one worker allowed), in this
+    process otherwise. Every other attempt runs here under the
+    ``timeout_s`` watchdog, lazily, item by item — a ``"raise"``
+    fan-out stops at the first failure — after ``initializer(*initargs)``
+    has run once in this process. A pool worker runs ``initializer``
+    at start-up, so ``fn`` and ``initializer`` must be picklable
+    module-level functions there.
+
+    Order-preserving and, for pure ``fn``, bit-identical to a serial
+    run regardless of backend or degradation path. ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) receives the
     ``scheduler.*`` counters when given.
     """
     if on_error not in POLICIES:
         raise ValueError(
             f"on_error must be one of {POLICIES}, got {on_error!r}")
+    check_backend(backend)
     items = list(items)
     outcome = FanoutOutcome(results=[None] * len(items))
     if not items:
         return outcome
-    jobs = []
+    _count(metrics, "scheduler.submitted", len(items))
+    _count(metrics, f"scheduler.backend.{backend}")
+    first: List[Tuple] = []
+    if backend == "localpool" and len(items) > 1 and (
+        max_workers is None or max_workers > 1
+    ):
+        first = _pool_pass(fn, items, max_workers, initializer, initargs,
+                           outcome)
+    initialized = False
+
+    def attempt(item: T) -> Tuple:
+        nonlocal initialized
+        if not initialized:
+            initialized = True
+            if initializer is not None:
+                initializer(*initargs)
+        try:
+            return ("ok", _call_with_watchdog(fn, item, timeout_s))
+        except Exception as exc:
+            return ("err", exc)
+
+    budget = 1 + (retries if on_error == "retry" else 0)
     for index, item in enumerate(items):
         label = labels[index] if labels else repr(item)
-        jobs.append(scheduler.submit(fn, item, index=index, label=label))
-    _count(metrics, "scheduler.submitted", len(jobs))
-    _count(metrics, f"scheduler.backend.{scheduler.name}")
-    budget = 1 + (retries if on_error == "retry" else 0)
-    for job in jobs:
-        status = scheduler.poll(job)
-        attempt = 1
-        while status == FAILED and attempt < budget:
-            outcome.retried.setdefault(job.index, []).append(
-                Diagnostic.warning(
-                    "SP602",
-                    f"attempt {attempt}/{budget} failed "
-                    f"({job.error}); retrying", job.label,
-                ))
-            _count(metrics, "scheduler.retries")
-            scheduler.rerun(job)
-            status = scheduler.poll(job)
-            attempt += 1
-        if status == DONE:
-            outcome.results[job.index] = job.result
-            _count(metrics, "scheduler.completed")
-        else:
-            _count(metrics, "scheduler.failed")
-            if on_error == "raise":
-                _absorb_substrate(scheduler, outcome, metrics)
-                raise job.exception
-            diag = Diagnostic.error(
-                "SP603",
-                f"failed after {attempt} attempt(s): {job.error}", job.label,
-            )
-            outcome.failures.append(PointFailure(
-                index=job.index, item=job.item, error=repr(job.exception),
-                attempts=attempt, diagnostic=diag,
+        tag, value = first[index] if index < len(first) else attempt(item)
+        attempts = 1
+        while tag == "err" and attempts < budget:
+            outcome.retried.setdefault(index, []).append(Diagnostic.warning(
+                "SP602",
+                f"attempt {attempts}/{budget} failed ({value}); retrying",
+                label,
             ))
-    _absorb_substrate(scheduler, outcome, metrics)
+            _count(metrics, "scheduler.retries")
+            tag, value = attempt(item)
+            attempts += 1
+        if tag == "ok":
+            outcome.results[index] = value
+            _count(metrics, "scheduler.completed")
+            continue
+        _count(metrics, "scheduler.failed")
+        if on_error == "raise":
+            _count(metrics, "scheduler.degraded", len(outcome.diagnostics))
+            raise value
+        outcome.failures.append(PointFailure(
+            index=index, item=item, error=repr(value), attempts=attempts,
+            diagnostic=Diagnostic.error(
+                "SP603", f"failed after {attempts} attempt(s): {value}",
+                label,
+            ),
+        ))
+    _count(metrics, "scheduler.degraded", len(outcome.diagnostics))
     return outcome
-
-
-def _absorb_substrate(scheduler: Scheduler, outcome: FanoutOutcome,
-                      metrics) -> None:
-    drained = scheduler.drain_diagnostics()
-    outcome.diagnostics.extend(drained)
-    outcome.pool_broken = outcome.pool_broken or scheduler.degraded
-    _count(metrics, "scheduler.degraded", len(drained))

@@ -471,8 +471,9 @@ class TestPoolConfinement:
         assert selfcheck(tmp_path).has("SP914")
 
     def test_localpool_backend_may_name_the_pool(self, tmp_path):
+        # The localpool backend lives in run_fanout's module.
         write_tree(tmp_path, {
-            "scheduler/localpool.py": """
+            "scheduler/base.py": """
                 from concurrent.futures import ProcessPoolExecutor
 
                 def fan_out(fn, items):
@@ -484,7 +485,7 @@ class TestPoolConfinement:
 
     def test_sp914_other_scheduler_modules_are_not_exempt(self, tmp_path):
         write_tree(tmp_path, {
-            "scheduler/base.py": """
+            "scheduler/__init__.py": """
                 from concurrent.futures import ProcessPoolExecutor
             """,
         })
@@ -492,8 +493,8 @@ class TestPoolConfinement:
 
     def test_sp914_confinement_is_repo_wide(self, tmp_path):
         # Unlike the supervisor-scoped rules, SP914 has no include
-        # list: a pool smuggled into *any* module dodges the scheduler
-        # protocol, so the whole tree is in scope.
+        # list: a pool smuggled into *any* module dodges run_fanout's
+        # supervision, so the whole tree is in scope.
         write_tree(tmp_path, {
             "analysis/offline_tool.py": """
                 from concurrent.futures import ProcessPoolExecutor

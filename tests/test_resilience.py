@@ -1,27 +1,21 @@
-"""Tests for the resilience layer: the supervised fan-out
-(``run_fanout`` over a scheduler backend), the pool worker-death
-regression, the chunksize fix, the watchdog, the fault-injection
-harness, and cache quarantine semantics."""
+"""Tests for the resilience layer: the pool worker-death regression,
+the chunksize fix, the fault-injection harness, cache quarantine
+semantics, and ``simulate_many``'s failure policies. The
+``run_fanout`` policies themselves (raise/skip/retry, watchdog) are
+covered per backend by ``tests/test_scheduler_conformance.py``."""
 
-import collections
 import json
 import os
-import time
 
 import pytest
 
 from repro.arch.config import SparsepipeConfig
 from repro.engine import ResultCache
-from repro.errors import InjectedFault, ReproError, WatchdogTimeout
+from repro.errors import InjectedFault, ReproError
 from repro.experiments.runner import ExperimentContext
 from repro.resilience import Fault, FaultPlan, activate, drain_fired
 from repro.resilience import faults as faults_mod
-from repro.scheduler import (
-    FanoutOutcome,
-    create_scheduler,
-    pool_chunksize,
-    run_fanout,
-)
+from repro.scheduler import pool_chunksize, run_fanout
 from tests.store_rows import keys, read_doc, write_doc
 
 _PARENT_PID = os.getpid()
@@ -42,46 +36,14 @@ def _die_on_three(x):
     return x * 2
 
 
-_CALLS = collections.Counter()
-
-
-def _flaky_once(x):
-    """Fails the first time each value is seen (in this process)."""
-    _CALLS[x] += 1
-    if _CALLS[x] == 1:
-        raise ValueError(f"transient failure on {x}")
-    return x * 2
-
-
-def _always_fails(x):
-    raise ValueError(f"permanent failure on {x}")
-
-
-def _slow(x):
-    time.sleep(30)
-    return x  # pragma: no cover - the watchdog fires first
-
-
-def _fanout(backend, fn, items, max_workers=None, timeout_s=None,
-            **policy):
-    """One ``run_fanout`` over a fresh ``backend`` scheduler, shut down
-    afterwards — how ``simulate_many`` drives every sweep."""
-    sched = create_scheduler(backend, max_workers=max_workers,
-                             timeout_s=timeout_s)
-    try:
-        return run_fanout(sched, fn, items, **policy)
-    finally:
-        sched.shutdown()
-
-
 class TestParallelMapRegressions:
     """Regressions of the process-pool map (the ``localpool`` backend)."""
 
     def test_worker_death_falls_back_to_serial(self):
         # Seed bug: BrokenProcessPool was not in the except clause, so
         # one OOM-killed worker crashed the whole sweep.
-        outcome = _fanout("localpool", _die_on_three, range(6),
-                          max_workers=2)
+        outcome = run_fanout(_die_on_three, range(6), backend="localpool",
+                             max_workers=2)
         assert outcome.results == [0, 2, 4, 6, 8, 10]
 
     def test_chunksize_uses_real_worker_count(self, monkeypatch):
@@ -95,71 +57,23 @@ class TestParallelMapRegressions:
         assert pool_chunksize(10, None) == 5  # cpu_count unknown -> 1
 
     def test_healthy_pool_still_works(self):
-        outcome = _fanout("localpool", _double, range(8), max_workers=2)
+        outcome = run_fanout(_double, range(8), backend="localpool",
+                             max_workers=2)
         assert outcome.results == [x * 2 for x in range(8)]
         assert not outcome.pool_broken
 
 
 class TestSupervisedMap:
-    """The ``run_fanout`` failure policies, as ``simulate_many`` uses
-    them: the pool for worker death, in-process for everything else."""
+    """A pool break as ``simulate_many`` meets it: one SP601, every
+    point completed in-process."""
 
     def test_worker_death_degrades_with_sp601(self):
-        outcome = _fanout("localpool", _die_on_three, range(6),
-                          max_workers=2)
+        outcome = run_fanout(_die_on_three, range(6), backend="localpool",
+                             max_workers=2)
         assert outcome.results == [0, 2, 4, 6, 8, 10]
         assert outcome.pool_broken
         assert [d.code for d in outcome.diagnostics] == ["SP601"]
         assert outcome.ok
-
-    def test_raise_policy_propagates(self):
-        with pytest.raises(ValueError, match="permanent"):
-            _fanout("inprocess", _always_fails, [1, 2])
-
-    def test_skip_policy_records_failures(self):
-        outcome = _fanout(
-            "inprocess", _always_fails, [1, 2, 3], on_error="skip")
-        assert outcome.results == [None, None, None]
-        assert len(outcome.failures) == 3
-        assert all(f.diagnostic.code == "SP603" for f in outcome.failures)
-        assert [f.index for f in outcome.failures] == [0, 1, 2]
-        assert not outcome.ok
-
-    def test_retry_policy_recovers_transients(self):
-        _CALLS.clear()
-        outcome = _fanout(
-            "inprocess", _flaky_once, [4, 5], on_error="retry", retries=2)
-        assert outcome.results == [8, 10]
-        assert outcome.ok
-        assert sorted(outcome.retried) == [0, 1]
-        assert all(d.code == "SP602"
-                   for diags in outcome.retried.values() for d in diags)
-
-    def test_retry_policy_exhausts_to_failure(self):
-        outcome = _fanout(
-            "inprocess", _always_fails, [1], on_error="retry", retries=2)
-        assert outcome.results == [None]
-        assert outcome.failures[0].attempts == 3
-
-    def test_watchdog_times_out_hung_item(self):
-        outcome = _fanout(
-            "inprocess", _slow, [1], on_error="skip", timeout_s=0.2)
-        assert outcome.results == [None]
-        assert "SP606" in outcome.failures[0].error or "watchdog" in (
-            outcome.failures[0].error
-        )
-
-    def test_watchdog_raise_policy(self):
-        with pytest.raises(WatchdogTimeout):
-            _fanout("inprocess", _slow, [1], timeout_s=0.2)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            _fanout("inprocess", _double, [1], on_error="ignore")
-
-    def test_empty_items(self):
-        outcome = _fanout("localpool", _double, [], max_workers=4)
-        assert outcome == FanoutOutcome(results=[])
 
 
 class TestFaultPlan:
