@@ -228,8 +228,8 @@ for _s in (
         _spec("SP911", "pool-captured-global", Severity.ERROR,
               "mutable module-global state mutated outside a worker "
               "initializer is silently stale in pool workers (fork) "
-              "or absent (spawn); move the mutation into an "
-              "_init_worker/install-style initializer passed to the "
+              "or absent (spawn); move the mutation into a "
+              "_worker_boot/install-style initializer passed to the "
               "pool, or thread the state through arguments"),
         _spec("SP912", "non-atomic-cache-write", Severity.ERROR,
               "cache/state files must be written via the tmp-rename "

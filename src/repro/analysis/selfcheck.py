@@ -41,7 +41,7 @@ The **SP91x concurrency-safety family** targets sweep execution
 
 - **SP911** — mutable module-global state (``global`` statements) in
   pool-adjacent packages may only be mutated inside initializer-style
-  functions (``_init_worker_context``, ``install``, ``mark_worker``,
+  functions (``_worker_boot``, ``install``, ``mark_worker``,
   import latches): a global mutated anywhere else is silently stale in
   forked pool workers and absent under spawn.
 - **SP912** — files in ``engine/``/``resilience/`` must be written
@@ -87,7 +87,7 @@ REFERENCE_BACKEND = "arch/simulator.py"
 SERVICE_ARC_PACKAGES = ("engine", "resilience", "experiments", "scheduler")
 
 #: Function-name markers that identify sanctioned global mutators:
-#: pool initializers (``_init_worker_context``), arming/disarming hooks
+#: pool initializers (``_worker_boot``), arming/disarming hooks
 #: (``install``, ``mark_worker``), and idempotent import latches
 #: (``_ensure_builtin``).
 INITIALIZER_MARKERS = ("init", "worker", "install", "ensure", "boot")

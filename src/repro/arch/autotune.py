@@ -17,7 +17,7 @@ wins ties.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.arch.config import SparsepipeConfig
 from repro.arch.profile import WorkloadProfile
@@ -66,10 +66,19 @@ def autotune_subtensor_cols(
     probe_profile = replace(
         profile, n_iterations=min(probe_iterations, profile.n_iterations)
     )
-    cycles_by_width = _probe_cycles(
-        widths, arch, config, probe_profile, matrix, paper_nnz, scheduler,
-        max_workers,
-    )
+
+    def probe(width: int) -> float:
+        """Cycle count of one candidate width on the probe prefix."""
+        probe_config = replace(config, subtensor_cols=width)
+        return run_engine(arch, probe_config, probe_profile, matrix,
+                          paper_nnz=paper_nnz).cycles
+
+    cycles_by_width = run_fanout(
+        probe, widths,
+        backend=scheduler or "inprocess",
+        max_workers=max_workers,
+        labels=[f"width={w}" for w in widths],
+    ).results
     best_width = None
     best_cycles = None
     for width, cycles in zip(widths, cycles_by_width):
@@ -80,40 +89,3 @@ def autotune_subtensor_cols(
     result = run_engine(arch, final_config, profile, matrix, paper_nnz=paper_nnz)
     return best_width, result
 
-
-def _probe_cycles(
-    widths: Sequence[int], arch, config, probe_profile, matrix, paper_nnz,
-    scheduler: Optional[str], max_workers: Optional[int],
-) -> List[float]:
-    outcome = run_fanout(
-        _probe_width, widths,
-        backend=scheduler or "inprocess",
-        max_workers=max_workers,
-        initializer=_init_probe_worker,
-        initargs=(arch, config, probe_profile, matrix, paper_nnz),
-        labels=[f"width={w}" for w in widths],
-    )
-    return outcome.results
-
-
-# ----------------------------------------------------------------------
-# Probe worker side (module-level: must be picklable for the pool
-# backend)
-# ----------------------------------------------------------------------
-_PROBE_STATE: Optional[Tuple] = None
-
-
-def _init_probe_worker(arch, config, probe_profile, matrix, paper_nnz) -> None:
-    """Ship the shared probe inputs once per worker process."""
-    global _PROBE_STATE
-    _PROBE_STATE = (arch, config, probe_profile, matrix, paper_nnz)
-
-
-def _probe_width(width: int) -> float:
-    """Cycle count of one candidate width on the probe prefix."""
-    arch, config, probe_profile, matrix, paper_nnz = _PROBE_STATE
-    probe_config = replace(config, subtensor_cols=int(width))
-    probe = run_engine(
-        arch, probe_config, probe_profile, matrix, paper_nnz=paper_nnz
-    )
-    return probe.cycles

@@ -20,7 +20,6 @@ from repro.engine.cache import CODE_VERSION, CacheEntry, ResultCache
 from repro.engine.instrumentation import (
     FILL_STEP,
     CounterObserver,
-    DiagnosticsObserver,
     EventLogObserver,
     Instrumentation,
     Observer,
@@ -40,7 +39,6 @@ __all__ = [
     "CODE_VERSION",
     "CacheEntry",
     "CounterObserver",
-    "DiagnosticsObserver",
     "Engine",
     "EventLogObserver",
     "FILL_STEP",

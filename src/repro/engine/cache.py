@@ -54,11 +54,13 @@ Concurrency and durability: the file is journaled in WAL mode with
 never tears one (nothing is fsynced per put). Two processes on one
 directory — two CLI sweeps — are serialized by SQLite's file locks,
 with a busy timeout. In a process the store holds one connection
-behind one lock, because watchdog threads put through it; forked pool
-workers never use the parent's connection (they build store-less
-contexts). The connection is checkpointed and closed when the store
-is closed, dropped, or the interpreter exits, so a directory copied
-after its writer exited is self-contained.
+behind one lock, because watchdog threads put through it. SQLite
+connections must not cross a fork, so a forked pool worker that uses
+an inherited store opens its own connection, with its own lock, the
+first time it does (a pid check); the parent's connection is never
+touched there. The connection is checkpointed and closed when the
+store is closed, dropped, or the interpreter exits, so a directory
+copied after its writer exited is self-contained.
 """
 
 from __future__ import annotations
@@ -188,14 +190,26 @@ class ResultCache:
         self.code_version = str(
             CODE_VERSION if code_version is None else code_version
         )
-        #: SP604 quarantine diagnostics since the last
-        #: :meth:`pop_diagnostics` (consumers: ExperimentContext
-        #: metrics / run manifests).
-        self.diagnostics: List[Diagnostic] = []
-        #: Guards the connection and :attr:`diagnostics`.
-        self._lock = threading.Lock()
-        self._db = _connect(self.path, self._quarantine_store)
-        self._finalizer = weakref.finalize(self, _close, self._db, os.getpid())
+        self._pid: Optional[int] = None
+        self._open()
+
+    def _open(self):
+        """This process's connection, opened on first use in a process
+        (the constructing one, or a forked child: the parent's
+        connection, its lock and its unread diagnostics stay the
+        parent's)."""
+        if self._pid != os.getpid():
+            self._pid = os.getpid()
+            #: Guards the connection and :attr:`diagnostics`.
+            self._lock = threading.Lock()
+            #: SP604 quarantine diagnostics since the last
+            #: :meth:`pop_diagnostics` (consumers: ExperimentContext
+            #: metrics / run manifests).
+            self.diagnostics: List[Diagnostic] = []
+            self._db = _connect(self.path, self._quarantine_store)
+            self._finalizer = weakref.finalize(
+                self, _close, self._db, self._pid)
+        return self._db
 
     @property
     def path(self) -> Path:
@@ -243,8 +257,9 @@ class ResultCache:
         """Drop the corrupt row (unless a put already replaced it) and
         keep the text that was read as ``quarantine/<name>``."""
         dest = self.quarantine_dir / name
+        db = self._open()
         with self._lock:
-            dropped = self._db.execute(
+            dropped = db.execute(
                 "DELETE FROM entries WHERE key = ? AND doc = ?", (key, stored)
             ).rowcount
             if not dropped:
@@ -260,6 +275,7 @@ class ResultCache:
 
     def pop_diagnostics(self) -> List[Diagnostic]:
         """Quarantine diagnostics accumulated so far (cleared on read)."""
+        self._open()
         with self._lock:
             out = list(self.diagnostics)
             self.diagnostics.clear()
@@ -293,8 +309,9 @@ class ResultCache:
         """``(document, decoded doc[kind])``, or None on any kind of
         miss; a row that fails to parse, fails the key check or fails
         to decode is quarantined."""
+        db = self._open()
         with self._lock:
-            row = self._db.execute(
+            row = db.execute(
                 "SELECT doc FROM entries WHERE key = ?", (key,)).fetchone()
         if row is None:
             return None
@@ -316,8 +333,9 @@ class ResultCache:
 
     def _put(self, key: str, kind: str, doc: dict) -> str:
         text = json.dumps(doc, sort_keys=True)
+        db = self._open()
         with self._lock:
-            self._db.execute(
+            db.execute(
                 "INSERT OR REPLACE INTO entries (key, kind, doc) "
                 "VALUES (?, ?, ?)", (key, kind, text))
         return key
@@ -422,8 +440,9 @@ class ResultCache:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Result entries (profiles and permutations are not counted)."""
+        db = self._open()
         with self._lock:
-            return self._db.execute(
+            return db.execute(
                 "SELECT COUNT(*) FROM entries WHERE kind = 'result'"
             ).fetchone()[0]
 
@@ -431,8 +450,9 @@ class ResultCache:
         """Delete every entry of every kind; returns the
         number of result entries removed, as :meth:`__len__` counts
         them. Quarantined corpses are kept for auditing."""
+        db = self._open()
         with self._lock:
-            n = self._db.execute(
+            n = db.execute(
                 "DELETE FROM entries WHERE kind = 'result'").rowcount
-            self._db.execute("DELETE FROM entries")
+            db.execute("DELETE FROM entries")
         return n

@@ -262,49 +262,6 @@ class CounterObserver(Observer):
         return out
 
 
-class DiagnosticsObserver:
-    """Counts verifier diagnostics that surfaced (or were suppressed)
-    during a sweep, by severity and by code — a sweep over many
-    workloads can report lint health alongside its performance numbers
-    instead of silently discarding warnings. The experiment runner
-    feeds it through :meth:`on_diagnostic`; it is not a simulator
-    observer.
-
-    ``registry`` (any object with a ``counter(name).inc()`` interface,
-    duck-typed to avoid an import cycle with :mod:`repro.obs.metrics`)
-    mirrors every count into the shared metrics registry under
-    ``diagnostics.total`` / ``diagnostics.severity.<sev>`` /
-    ``diagnostics.code.<code>``.
-    """
-
-    def __init__(self, registry=None) -> None:
-        self.total = 0
-        self.by_severity: Dict[str, int] = {}
-        self.by_code: Dict[str, int] = {}
-        self.registry = registry
-
-    def on_diagnostic(self, diag) -> None:
-        """Count one (possibly suppressed)
-        :class:`~repro.errors.Diagnostic`."""
-        self.total += 1
-        sev = diag.severity.value
-        self.by_severity[sev] = self.by_severity.get(sev, 0) + 1
-        self.by_code[diag.code] = self.by_code.get(diag.code, 0) + 1
-        if self.registry is not None:
-            self.registry.counter("diagnostics.total").inc()
-            self.registry.counter(f"diagnostics.severity.{sev}").inc()
-            self.registry.counter(f"diagnostics.code.{diag.code}").inc()
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat summary suitable for reports / JSON export."""
-        out: Dict[str, float] = {"diagnostics": float(self.total)}
-        for sev, n in sorted(self.by_severity.items()):
-            out[f"diagnostics[{sev}]"] = float(n)
-        for code, n in sorted(self.by_code.items()):
-            out[f"diagnostics[{code}]"] = float(n)
-        return out
-
-
 class EventLogObserver(Observer):
     """Records the raw ordered event stream as ``(kind, ...)`` tuples —
     the ground truth for event-ordering tests and ad-hoc debugging.

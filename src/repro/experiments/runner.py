@@ -43,7 +43,6 @@ from repro.arch.config import SparsepipeConfig
 from repro.arch.profile import WorkloadProfile
 from repro.arch.stats import SimResult
 from repro.engine.cache import ResultCache
-from repro.engine.instrumentation import DiagnosticsObserver
 from repro.engine.registry import arch_names, get_arch, run_engine
 from repro.errors import ConfigError, Diagnostic
 from repro.resilience.faults import maybe_die
@@ -137,15 +136,13 @@ class ExperimentContext:
         #: this context has produced or served (``from_cache`` marks
         #: disk-cache hits).
         self.manifests: Dict[Tuple, RunManifest] = {}
-        #: Collects every verifier diagnostic the sweep would otherwise
-        #: silently suppress (warnings on otherwise-clean workloads);
-        #: counts mirror into :attr:`metrics` under ``diagnostics.*``.
-        self.diagnostics = DiagnosticsObserver(registry=self.metrics)
         self._linted: set = set()
         #: SP6xx fault records awaiting the manifest of their point
         #: (cache quarantines seen on the miss, retries seen during the
         #: fan-out); :meth:`_record_fresh` folds them in.
         self._pending_faults: Dict[Tuple, List[Diagnostic]] = {}
+        #: Every store quarantine (SP604) this context surfaced, in order.
+        self._quarantines: List[Diagnostic] = []
 
     # ------------------------------------------------------------------
     # Cached intermediates
@@ -199,34 +196,49 @@ class ExperimentContext:
         profile = self._profiles.get(key)
         if profile is not None:
             return profile
-        workload = get_workload(workload_name)
-        self._lint_once(workload_name, workload)
+        self._lint_once(workload_name)
         if self._disk is not None:
             profile = self._disk.get_profile(workload_name, matrix_name)
             self._surface_quarantines()
         if profile is None:
-            profile = workload.profile(self.graphblas_matrix(matrix_name))
+            profile = get_workload(workload_name).profile(
+                self.graphblas_matrix(matrix_name))
             if self._disk is not None:
                 self._disk.put_profile(workload_name, matrix_name, profile)
         self._profiles[key] = profile
         return profile
 
-    def _lint_once(self, workload_name: str, workload) -> None:
-        """Feed the workload's verifier diagnostics (warnings the
-        default ``verify="error"`` mode suppresses) to the diagnostics
-        observer — once per workload, not once per matrix."""
+    def _lint_once(self, workload_name: str) -> None:
+        """Count the workload's verifier diagnostics (warnings the
+        default ``verify="error"`` mode suppresses) — once per
+        workload, not once per matrix."""
         if workload_name in self._linted:
             return
         self._linted.add(workload_name)
         from repro.analysis.passes import verify_graph
 
-        for diag in verify_graph(workload.build_graph()):
-            self.diagnostics.on_diagnostic(diag)
+        for diag in verify_graph(get_workload(workload_name).build_graph()):
+            self._count_diagnostic(diag)
+
+    def _count_diagnostic(self, diag: Diagnostic) -> None:
+        """Count one (possibly suppressed) diagnostic under
+        ``diagnostics.total`` / ``.severity.<sev>`` / ``.code.<code>``."""
+        for name in ("total", f"severity.{diag.severity.value}",
+                     f"code.{diag.code}"):
+            self.metrics.counter(f"diagnostics.{name}").inc()
 
     def lint_health(self) -> Dict[str, float]:
-        """Suppressed-diagnostic counts across every workload this
-        context has profiled (severity and code histograms)."""
-        return self.diagnostics.as_dict()
+        """Diagnostic counts across every workload this context has
+        profiled and every fault it absorbed (severity and code
+        histograms), read from :attr:`metrics`."""
+        out = {"diagnostics": self.metrics.value("diagnostics.total")}
+        for kind in ("severity", "code"):
+            prefix = f"diagnostics.{kind}."
+            for name in sorted(self.metrics.names()):
+                if name.startswith(prefix):
+                    out[f"diagnostics[{name[len(prefix):]}]"] = \
+                        self.metrics.value(name)
+        return out
 
     # ------------------------------------------------------------------
     # Simulation
@@ -256,8 +268,8 @@ class ExperimentContext:
 
     def _disk_lookup(self, key: Tuple):
         """On-disk cache probe that also accounts quarantine events:
-        any SP604 diagnostic the probe produced feeds the sweep
-        observer and is attached to the point's next fresh manifest."""
+        any SP604 diagnostic the probe produced is counted and
+        attached to the point's next fresh manifest."""
         if self._disk is None:
             return None
         entry = self._disk.get_entry(*key)
@@ -265,13 +277,16 @@ class ExperimentContext:
             self._pending_faults.setdefault(key, []).append(diag)
         return entry
 
-    def _surface_quarantines(self) -> List[Diagnostic]:
-        """Feed the store's SP604 quarantine diagnostics to the sweep
-        observer and the ``cache.quarantined`` counter."""
-        diags = self._disk.pop_diagnostics()
+    def _surface_quarantines(self, diags=None) -> List[Diagnostic]:
+        """Count SP604 quarantine diagnostics — the store's, or those a
+        pool worker's reads caused — and log them in
+        :attr:`_quarantines`."""
+        if diags is None:
+            diags = self._disk.pop_diagnostics()
         for diag in diags:
-            self.diagnostics.on_diagnostic(diag)
+            self._count_diagnostic(diag)
             self.metrics.counter("cache.quarantined").inc()
+        self._quarantines.extend(diags)
         return diags
 
     def _serve(self, key: Tuple, entry) -> SimResult:
@@ -281,7 +296,7 @@ class ExperimentContext:
         self.manifests[key] = (
             entry.manifest
             if entry.manifest is not None
-            else self._manifest_for(key, entry.result, from_cache=True)
+            else build_manifest(*key, result=entry.result, from_cache=True)
         )
         return entry.result
 
@@ -308,42 +323,33 @@ class ExperimentContext:
         return self._simulate_fresh(key, cfg)
 
     def _simulate_fresh(self, key: Tuple, cfg: SparsepipeConfig) -> SimResult:
-        """Simulate one already-probed missing point and record it."""
+        """Simulate one already-probed missing point and record it; the
+        quarantines (SP604) its profile and permutation reads caused
+        become the point's fault records."""
         arch, workload_name, matrix_name, _config_key, reorder, block_size = key
+        seen = len(self._quarantines)
         profile = self.profile(workload_name, matrix_name)
         prep = self.prepared(matrix_name, reorder=reorder, block_size=block_size)
+        if len(self._quarantines) > seen:
+            self._pending_faults.setdefault(key, []).extend(
+                self._quarantines[seen:])
         paper_nnz = SUITE[matrix_name].paper_nnz
         with Stopwatch() as watch:
             result = run_engine(arch, cfg, profile, prep, paper_nnz=paper_nnz)
         self._record_fresh(key, result, wall_time_s=watch.elapsed)
         return result
 
-    def _manifest_for(
-        self, key: Tuple, result: SimResult,
-        wall_time_s: Optional[float] = None, from_cache: bool = False,
-    ) -> RunManifest:
-        arch, workload, matrix, _config_key, reorder, block_size = key
-        return build_manifest(
-            arch, workload, matrix, _config_key, reorder, block_size,
-            result=result, wall_time_s=wall_time_s, from_cache=from_cache,
-        )
-
-    def _record_fresh(
-        self, key: Tuple, result: SimResult,
-        wall_time_s: Optional[float] = None,
-        faults: Sequence[Diagnostic] = (),
-    ) -> None:
+    def _record_fresh(self, key: Tuple, result: SimResult,
+                      wall_time_s: Optional[float] = None) -> None:
         """Account one freshly simulated result: aggregate its metrics
         into the sweep registry, build its manifest (folding in any
         SP6xx events the point survived), persist both."""
         self._results[key] = result
         registry_from_result(result, registry=self.metrics)
-        events = self._pending_faults.pop(key, []) + list(faults)
+        events = self._pending_faults.pop(key, [])
         retried = any(d.code in ("SP601", "SP602") for d in events)
-        arch, workload, matrix, config_key, reorder, block_size = key
         manifest = build_manifest(
-            arch, workload, matrix, config_key, reorder, block_size,
-            result=result, wall_time_s=wall_time_s,
+            *key, result=result, wall_time_s=wall_time_s,
             status="retried" if retried else "ok",
             faults=[d.as_dict() for d in events],
         )
@@ -357,10 +363,8 @@ class ExperimentContext:
         but a first-class ``status="failed"`` manifest carrying every
         SP6xx event behind the failure."""
         events = self._pending_faults.pop(key, []) + list(faults)
-        arch, workload, matrix, config_key, reorder, block_size = key
         self.manifests[key] = build_manifest(
-            arch, workload, matrix, config_key, reorder, block_size,
-            status="failed",
+            *key, status="failed",
             faults=[d.as_dict() for d in events] + [{"error": error}],
         )
         self.metrics.counter("resilience.failures").inc()
@@ -402,10 +406,11 @@ class ExperimentContext:
         Results come back in input order and are bit-identical to
         calling :meth:`simulate` serially — the fan-out only changes
         wall-clock time. Cached points (in-memory or on-disk) are never
-        re-simulated; uncached points are grouped by matrix so each
-        worker pre-materializes a matrix once and serves every point
-        on it from its local caches. ``max_workers=None`` falls back
-        to the context default (serial when that is unset too).
+        re-simulated; every missing point runs one closure over this
+        context — a pool worker on its forked copy, reading profiles
+        and permutations from the memo and the store like the parent.
+        ``max_workers=None`` falls back to the context default (serial
+        when that is unset too).
 
         The fan-out is supervised: a broken process pool (worker
         OOM-killed) degrades to in-process execution with an SP601
@@ -456,35 +461,34 @@ class ExperimentContext:
                 pooled = (workers is not None and workers > 1
                           and len(missing) > 1)
                 backend = "localpool" if pooled else "inprocess"
-            if backend == "localpool":
-                # Group by matrix so per-worker chunks reuse the
-                # materialized matrix, profile, and preprocessing.
-                ordered = sorted(missing, key=lambda p: (p[2], p[1], p[0]))
-                fn = _simulate_one_point
-                initializer = _init_worker_context
-                initargs = (cfg, reorder, block_size)
-            else:
-                ordered = list(missing)
-                initializer, initargs = None, ()
+            # Lint here: a pool worker's lint would die with its copy.
+            for _arch, workload, _matrix in missing:
+                self._lint_once(workload)
 
-                def fn(p: Point) -> SimResult:
-                    # Already probed above: simulate directly, without
-                    # re-keying or a second (miss-counting) store probe.
-                    return self._simulate_fresh(missing[p], cfg)
+            def fn(point: Point) -> Tuple:
+                # Chaos-test site: no-op unless a FaultPlan with a
+                # worker_death fault is active AND this process is a
+                # marked pool worker. The site name is hashed by
+                # should_fire; renaming it would change which faults
+                # seeded plans fire.
+                maybe_die("parallel.worker", "/".join(point))
+                # Already probed above: simulate directly, without
+                # re-keying or a second (miss-counting) store probe.
+                key, seen = missing[point], len(self._quarantines)
+                result = self._simulate_fresh(key, cfg)
+                return result, self.manifests[key], self._quarantines[seen:]
 
             outcome = run_fanout(
-                fn, ordered,
+                fn, missing,
                 backend=backend,
                 max_workers=workers,
-                initializer=initializer,
-                initargs=initargs,
                 timeout_s=self.timeout_s,
                 on_error=policy,
                 retries=self.retries,
-                labels=["/".join(p) for p in ordered],
+                labels=["/".join(p) for p in missing],
                 metrics=self.metrics,
             )
-            self._absorb_outcome(outcome, [missing[p] for p in ordered])
+            self._absorb_outcome(outcome, list(missing.values()))
         return [self._results.get(key) for key in keys]
 
     def _absorb_outcome(
@@ -495,31 +499,34 @@ class ExperimentContext:
         fan-out-wide degradations into the sweep diagnostics.
         ``ordered_keys`` are the result keys in fan-out order."""
         for diag in outcome.diagnostics:
-            self.diagnostics.on_diagnostic(diag)
+            self._count_diagnostic(diag)
             self.metrics.counter("resilience.pool_breaks").inc()
         failed = outcome.failed_indices()
         for index, key in enumerate(ordered_keys):
             retried = outcome.retried.get(index, [])
             for diag in retried:
-                self.diagnostics.on_diagnostic(diag)
+                self._count_diagnostic(diag)
                 self.metrics.counter("resilience.retries").inc()
             # Pool-wide degradation marks every affected point's manifest.
             events = list(outcome.diagnostics) + retried
             if index in failed:
                 failure = failed[index]
-                self.diagnostics.on_diagnostic(failure.diagnostic)
+                self._count_diagnostic(failure.diagnostic)
                 self._record_failed(
                     key, failure.error, events + [failure.diagnostic])
-            elif key in self._results:
-                # The in-process path already recorded it via
-                # _simulate_fresh(); fold late-arriving fault records
-                # into its manifest.
-                if events:
-                    self._amend_manifest(key, events)
-            else:
-                # Wall time is unknown per point in the fan-out;
-                # the manifest records None rather than a guess.
-                self._record_fresh(key, outcome.results[index], faults=events)
+                continue
+            result, manifest, quarantines = outcome.results[index]
+            if key not in self._results:
+                # A pool worker simulated and stored the point: adopt
+                # its record. Its manifest already carries the point's
+                # pending faults and the worker's quarantines.
+                self._pending_faults.pop(key, None)
+                self._surface_quarantines(quarantines)
+                self._results[key] = result
+                self.manifests[key] = manifest
+                registry_from_result(result, registry=self.metrics)
+            if events:
+                self._amend_manifest(key, events)
 
     def _amend_manifest(self, key: Tuple,
                         events: Sequence[Diagnostic]) -> None:
@@ -572,29 +579,3 @@ class ExperimentContext:
             for arch in archs
         ]
 
-
-# ----------------------------------------------------------------------
-# simulate_many worker side (module-level: must be picklable)
-# ----------------------------------------------------------------------
-_WORKER_CONTEXT: Optional[ExperimentContext] = None
-
-
-def _init_worker_context(
-    config: SparsepipeConfig, reorder: Optional[str], block_size: Optional[int]
-) -> None:
-    """Build one memoizing context per worker process — matrices,
-    profiles, and preprocessing materialize once per worker."""
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = ExperimentContext(
-        config=config, reorder=reorder, block_size=block_size
-    )
-
-
-def _simulate_one_point(point: Point) -> SimResult:
-    arch, workload, matrix = point
-    # Chaos-test site: no-op unless a FaultPlan with a worker_death
-    # fault is active AND this process is a marked pool worker. The
-    # site name is hashed by should_fire; renaming it would change
-    # which faults seeded plans fire.
-    maybe_die("parallel.worker", "/".join(point))
-    return _WORKER_CONTEXT.simulate(arch, workload, matrix)

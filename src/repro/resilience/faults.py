@@ -7,10 +7,11 @@ and describes what should go wrong there:
 ========================  ============================================
 site                      where it is consulted
 ========================  ============================================
-``parallel.worker``       :func:`repro.experiments.runner.
-                          _simulate_one_point`, start of every pooled
-                          sweep point (``worker_death`` kills the
-                          worker process, simulating an OOM kill)
+``parallel.worker``       :meth:`repro.experiments.runner.
+                          ExperimentContext.simulate_many`'s fan-out
+                          closure, start of every sweep point
+                          (``worker_death`` kills a marked pool
+                          worker, simulating an OOM kill)
 ``engine.run``            :func:`repro.engine.registry.run_engine`,
                           before the engine runs (``raise`` throws a
                           transient :class:`~repro.errors.

@@ -12,9 +12,11 @@ The *backend* picks where first attempts run:
     Serially in the calling process — no pickling, no forks,
     breakpoints work.
 ``localpool``
-    One ``ProcessPoolExecutor`` pass (this is the only module allowed
-    to name it — selfcheck SP914), when there is more than one item
-    and more than one worker is allowed.
+    One ``ProcessPoolExecutor`` pass over forked workers (this is the
+    only module allowed to name it — selfcheck SP914), when there is
+    more than one item and more than one worker is allowed. The
+    workers inherit ``fn`` and ``items`` by fork, so ``fn`` may be any
+    closure and each pooled call ships only an item index.
 
 Every other attempt — retries, and the first attempts a broken or
 unavailable pool never answered — runs here, item by item, under the
@@ -26,6 +28,7 @@ the chaos suite doubles as the conformance oracle. See
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import threading
@@ -104,24 +107,28 @@ def pool_chunksize(n_items: int, max_workers: Optional[int]) -> int:
     return max(1, -(-n_items // (max(1, workers) * 2)))
 
 
-def _worker_boot(initializer, initargs, plan) -> None:
+#: ``(fn, items)`` of the fan-out a pool worker was forked for.
+_WORK: Optional[Tuple[Callable, List]] = None
+
+
+def _worker_boot(fn, items, plan) -> None:
     """Pool-worker initializer: mark the process as a worker (arms
-    ``worker_death`` faults), install the parent's fault plan (fork
-    inherits it, spawn would not), then run the caller's init."""
+    ``worker_death`` faults), install the parent's fault plan (resets
+    the at-most-once bookkeeping) and keep the inherited work."""
+    global _WORK
     faults.mark_worker()
     if plan is not None:
         faults.install(plan)
-    if initializer is not None:
-        initializer(*initargs)
+    _WORK = (fn, items)
 
 
-def _pooled_call(payload: Tuple) -> Tuple:
-    """In-worker wrapper: run one item and return ``("ok", result)`` or
-    ``("err", exception)`` — so a raising item is a *value*, not a dead
-    map iterator."""
-    fn, item = payload
+def _pooled_call(index: int) -> Tuple:
+    """In-worker wrapper: run item ``index`` and return ``("ok",
+    result)`` or ``("err", exception)`` — so a raising item is a
+    *value*, not a dead map iterator."""
+    fn, items = _WORK
     try:
-        result = fn(item)
+        result = fn(items[index])
     except Exception as exc:
         try:
             pickle.dumps(exc)
@@ -161,24 +168,25 @@ def _call_with_watchdog(fn: Callable[[T], Any], item: T,
     return box["result"]
 
 
-def _pool_pass(fn, items: List, max_workers: Optional[int], initializer,
-               initargs: Sequence, outcome: FanoutOutcome) -> List[Tuple]:
-    """First attempts of ``items`` through one pool map, as
-    ``(tag, value)`` pairs in input order. Items the pool never
+def _pool_pass(fn, items: List, max_workers: Optional[int],
+               outcome: FanoutOutcome) -> List[Tuple]:
+    """First attempts of ``items`` through one map over forked workers,
+    as ``(tag, value)`` pairs in input order. Items the pool never
     answered (break, result-pickling failure, no pool at all) are
     missing from the tail of the returned list."""
     answered: List[Tuple] = []
     try:
         with ProcessPoolExecutor(
             max_workers=max_workers,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_boot,
-            initargs=(initializer, tuple(initargs), faults.active_plan()),
+            initargs=(fn, items, faults.active_plan()),
         ) as pool:
             try:
                 # map() submits every chunk up front; a worker that dies
                 # meanwhile breaks the pool inside this call already.
                 for pair in pool.map(
-                    _pooled_call, [(fn, item) for item in items],
+                    _pooled_call, range(len(items)),
                     chunksize=pool_chunksize(len(items), max_workers),
                 ):
                     answered.append(pair)
@@ -194,7 +202,8 @@ def _pool_pass(fn, items: List, max_workers: Optional[int], initializer,
                 # chunked iterator is dead — the tail runs in-process.
                 pass
     except (OSError, PermissionError, ValueError):
-        # No semaphores / fork denied: silent in-process degrade.
+        # No semaphores / no fork on this host: silent in-process
+        # degrade.
         pass
     return answered
 
@@ -209,8 +218,6 @@ def run_fanout(
     items: Iterable[T],
     backend: str = "inprocess",
     max_workers: Optional[int] = None,
-    initializer: Optional[Callable] = None,
-    initargs: Sequence = (),
     timeout_s: Optional[float] = None,
     on_error: str = "raise",
     retries: int = DEFAULT_RETRIES,
@@ -224,10 +231,9 @@ def run_fanout(
     (more than one item, more than one worker allowed), in this
     process otherwise. Every other attempt runs here under the
     ``timeout_s`` watchdog, lazily, item by item — a ``"raise"``
-    fan-out stops at the first failure — after ``initializer(*initargs)``
-    has run once in this process. A pool worker runs ``initializer``
-    at start-up, so ``fn`` and ``initializer`` must be picklable
-    module-level functions there.
+    fan-out stops at the first failure. Pool workers are forked, so
+    ``fn`` may be any closure and sees the caller's state as it was
+    at the fork; only its results must be picklable.
 
     Order-preserving and, for pure ``fn``, bit-identical to a serial
     run regardless of backend or degradation path. ``metrics`` (a
@@ -248,16 +254,9 @@ def run_fanout(
     if backend == "localpool" and len(items) > 1 and (
         max_workers is None or max_workers > 1
     ):
-        first = _pool_pass(fn, items, max_workers, initializer, initargs,
-                           outcome)
-    initialized = False
+        first = _pool_pass(fn, items, max_workers, outcome)
 
     def attempt(item: T) -> Tuple:
-        nonlocal initialized
-        if not initialized:
-            initialized = True
-            if initializer is not None:
-                initializer(*initargs)
         try:
             return ("ok", _call_with_watchdog(fn, item, timeout_s))
         except Exception as exc:

@@ -419,19 +419,7 @@ class TestDiagnosticPlumbing:
         assert not missing, f"docs/analysis.md lacks {missing}"
 
 
-class TestDiagnosticsObserver:
-    def test_observer_counts_by_severity_and_code(self):
-        from repro.engine.instrumentation import DiagnosticsObserver
-
-        obs = DiagnosticsObserver()
-        obs.on_diagnostic(Diagnostic.warning("SP203", "w"))
-        obs.on_diagnostic(Diagnostic.warning("SP203", "w2"))
-        obs.on_diagnostic(Diagnostic.error("SP101", "e"))
-        summary = obs.as_dict()
-        assert summary["diagnostics"] == 3.0
-        assert summary["diagnostics[warning]"] == 2.0
-        assert summary["diagnostics[SP203]"] == 2.0
-
+class TestLintHealth:
     def test_context_lint_health_collects_suppressed_warnings(self):
         from repro.experiments.runner import ExperimentContext
 
@@ -442,3 +430,21 @@ class TestDiagnosticsObserver:
         # Profiling the same workload again must not double-count.
         ctx.profile("cg", "gy")
         assert ctx.lint_health() == health
+
+    def test_lint_health_reads_the_diagnostics_counters(self):
+        from repro.experiments.runner import ExperimentContext
+
+        ctx = ExperimentContext(workloads=("cg",), matrices=("gy",))
+        ctx.profile("cg", "gy")
+        ctx.simulate_many([("ideal", "pr", "gy"), ("ideal", "cg", "gy")],
+                          on_error="skip", block_size=-1)
+        # Every count is a registry counter; the dict keeps its shape:
+        # the total, then severities, then codes, each sorted.
+        assert ctx.metrics.value("diagnostics.total") == 4.0
+        assert list(ctx.lint_health().items()) == [
+            ("diagnostics", 4.0),
+            ("diagnostics[error]", 2.0),
+            ("diagnostics[warning]", 2.0),
+            ("diagnostics[SP203]", 2.0),
+            ("diagnostics[SP603]", 2.0),
+        ]

@@ -15,6 +15,7 @@ from repro.errors import InjectedFault, ReproError
 from repro.experiments.runner import ExperimentContext
 from repro.resilience import Fault, FaultPlan, activate, drain_fired
 from repro.resilience import faults as faults_mod
+from repro.scheduler import base as scheduler_base
 from repro.scheduler import pool_chunksize, run_fanout
 from tests.store_rows import keys, read_doc, write_doc
 
@@ -61,6 +62,28 @@ class TestParallelMapRegressions:
                              max_workers=2)
         assert outcome.results == [x * 2 for x in range(8)]
         assert not outcome.pool_broken
+
+    def test_pool_runs_a_closure_over_local_state(self):
+        # Workers are forked, so fn need not be picklable: a lambda
+        # over a local dict runs in the workers, not the parent.
+        state = {"offset": 10}
+        outcome = run_fanout(lambda x: (x + state["offset"], os.getpid()),
+                             range(4), backend="localpool", max_workers=2)
+        assert [value for value, _ in outcome.results] == [10, 11, 12, 13]
+        assert _PARENT_PID not in {pid for _, pid in outcome.results}
+        assert not outcome.pool_broken
+
+    def test_host_without_fork_degrades_silently(self, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(scheduler_base.multiprocessing, "get_context",
+                            no_fork)
+        outcome = run_fanout(lambda x: (x * 2, os.getpid()), range(4),
+                             backend="localpool", max_workers=2)
+        assert outcome.results == [(x * 2, _PARENT_PID) for x in range(4)]
+        assert outcome.ok and not outcome.pool_broken
+        assert outcome.diagnostics == []
 
 
 class TestSupervisedMap:

@@ -17,15 +17,19 @@ hermetic per-test values.
 """
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.arch.config import SparsepipeConfig
+from repro.engine.cache import ResultCache
 from repro.errors import FormatError, InjectedFault
 from repro.experiments.runner import ExperimentContext
 from repro.formats import read_matrix_market
 from repro.obs.capture import capture_run
 from repro.resilience import Fault, FaultPlan, activate, drain_fired
+from tests.store_rows import write_doc
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1234"))
 
@@ -150,6 +154,32 @@ class TestChaosSweep:
                 chaotic.manifest(*p).status for p in POINTS[:2])
             outcomes.append((results, statuses))
         assert outcomes[0] == outcomes[1]
+
+
+class TestChaosStoreRead:
+    def test_corrupt_profile_row_is_quarantined_once(self, chaos_dir,
+                                                     backend):
+        """A sweep point reads a damaged profile row — in a pool worker
+        on ``localpool``. The row is quarantined once, and its SP604
+        reaches the sweeping context and one point's manifest."""
+        cache_dir = chaos_dir / f"profile-{backend}"
+        points = [(a, w, "gy") for a in ("sparsepipe", "ideal", "cpu")
+                  for w in ("pr", "kcore")]
+        ExperimentContext(cache_dir=cache_dir).simulate_many(points)
+        config = replace(SparsepipeConfig(), subtensor_cols=64)
+        baseline = ExperimentContext(config=config).simulate_many(points)
+        _name, key = ResultCache(cache_dir)._profile_entry("pr", "gy")
+        write_doc(cache_dir, key, "garbage{")
+
+        context = ExperimentContext(cache_dir=cache_dir, config=config,
+                                    max_workers=2, scheduler=backend)
+        assert context.simulate_many(points) == baseline
+        assert context.metrics.value("cache.quarantined") == 1
+        assert context.lint_health()["diagnostics[SP604]"] == 1
+        recorded = [f for p in points for f in context.manifest(*p).faults
+                    if f.get("code") == "SP604"]
+        assert len(recorded) == 1
+        assert len(list(cache_dir.glob("quarantine/*.json"))) == 1
 
 
 class TestChaosIngest:

@@ -13,16 +13,22 @@ that backend.
 import collections
 import json
 import os
+import shutil
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.arch.config import SparsepipeConfig
 from repro.errors import ConfigError, WatchdogTimeout
 from repro.experiments.runner import ARCHITECTURES, ExperimentContext
 from repro.obs.metrics import MetricsRegistry
+from repro.preprocess import pipeline
+from repro.resilience import Fault, FaultPlan, activate
 from repro.scheduler import BACKENDS, FanoutOutcome, run_fanout
 from repro.testing import digest
+from repro.workloads.base import Workload
 from repro.workloads.registry import workload_names
 
 _PARENT_PID = os.getpid()
@@ -223,6 +229,18 @@ class TestSweepConformance:
         with pytest.raises(ConfigError, match="unknown scheduler"):
             ExperimentContext(scheduler=name)
 
+    def test_lint_health_matches_serial_reference(self, backend):
+        """Suppressed verifier warnings (cg's SP203s) reach the sweeping
+        context on every backend, once per workload."""
+        points = [(a, w, "gy") for a in ("ideal", "cpu")
+                  for w in ("cg", "pr")]
+        reference = ExperimentContext()
+        reference.simulate_many(points)
+        context = ExperimentContext(max_workers=2, scheduler=backend)
+        context.simulate_many(points)
+        assert context.lint_health() == reference.lint_health()
+        assert context.lint_health()["diagnostics[SP203]"] >= 2
+
     def test_pool_grid_matches_expected_digests(self):
         """Every arch x workload column of three matrices through the
         pool path, against the committed grid digests."""
@@ -237,3 +255,83 @@ class TestSweepConformance:
             if digest(r.to_dict()) != expected["/".join(p)]
         ]
         assert mismatched == []
+
+
+#: Points of the store-reading tests: every arch on three workloads
+#: (gcn overrides ``profile``) and two matrices.
+STORE_POINTS = [(a, w, m) for a in ARCHITECTURES
+                for w in ("pr", "kcore", "gcn") for m in ("gy", "bu")]
+
+#: A config no filled store holds a result for.
+NEW_CONFIG = replace(SparsepipeConfig(), subtensor_cols=64)
+
+
+@pytest.fixture(scope="module")
+def filled(tmp_path_factory):
+    """A store holding every profile and permutation of
+    :data:`STORE_POINTS` (and their default-config results), plus the
+    store-less reference results under :data:`NEW_CONFIG`."""
+    root = tmp_path_factory.mktemp("pool-store")
+    ExperimentContext(cache_dir=root).simulate_many(STORE_POINTS)
+    reference = ExperimentContext(config=NEW_CONFIG)
+    return root, reference.simulate_many(STORE_POINTS)
+
+
+@pytest.fixture
+def filled_store(filled, tmp_path):
+    """A private copy of the filled store (a sweep adds its results)."""
+    root, expected = filled
+    return shutil.copytree(root, tmp_path / "store"), expected
+
+
+@pytest.fixture
+def no_recompute(monkeypatch):
+    """Characterization and every reorder raise — in this process and,
+    through fork, in every pool worker started after the patch."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("recomputed what the store holds")
+
+    monkeypatch.setattr(Workload, "profile", refuse)
+    for name in list(pipeline.REORDER_ALGORITHMS):
+        monkeypatch.setitem(pipeline.REORDER_ALGORITHMS, name, refuse)
+
+
+class TestPoolReadsTheStore:
+    """Both backends run one closure over the sweeping context, so pool
+    workers and the in-process tail read profiles and permutations from
+    the context's memo and store instead of recomputing them."""
+
+    def test_pooled_new_config_sweep_recomputes_nothing(
+            self, filled_store, no_recompute):
+        root, expected = filled_store
+        context = ExperimentContext(cache_dir=root, config=NEW_CONFIG,
+                                    max_workers=2, scheduler="localpool")
+        assert context.simulate_many(STORE_POINTS) == expected
+        assert context.metrics.value("resilience.pool_breaks") == 0
+        assert context.metrics.value("cache.misses") == len(STORE_POINTS)
+        # The workers read the profiles; the parent never needed one.
+        assert context.metrics.value("cache.profile_hits") == 0
+
+    def test_one_point_localpool_fanout_uses_the_store(
+            self, filled_store, no_recompute):
+        root, expected = filled_store
+        context = ExperimentContext(cache_dir=root, config=NEW_CONFIG,
+                                    max_workers=2, scheduler="localpool")
+        assert context.simulate_many(STORE_POINTS[:1]) == expected[:1]
+        assert context.metrics.value("cache.profile_hits") == 1
+        assert context.metrics.value("cache.permutation_hits") == 1
+
+    def test_tail_after_worker_death_uses_the_store(
+            self, filled_store, no_recompute):
+        root, expected = filled_store
+        context = ExperimentContext(cache_dir=root, config=NEW_CONFIG,
+                                    max_workers=2, scheduler="localpool")
+        plan = FaultPlan(seed=0, faults={
+            "parallel.worker": Fault(kind="worker_death", rate=1.0)})
+        with activate(plan):
+            assert context.simulate_many(STORE_POINTS) == expected
+        assert context.metrics.value("resilience.pool_breaks") == 1
+        # Every point ran in the parent, from the store: one profile
+        # read per (workload, matrix), the rest from the memo.
+        assert context.metrics.value("cache.profile_hits") == 6
+        assert context.metrics.value("cache.profile_misses") == 0

@@ -42,6 +42,7 @@ from repro.matrices import banded_mesh
 from repro.obs.metrics import MetricsRegistry
 from repro.preprocess import preprocess
 from repro.resilience.faults import Fault, FaultPlan, activate
+from repro.scheduler import run_fanout
 from tests.store_rows import keys, read_doc
 from tests.test_engine import make_profile
 
@@ -191,8 +192,8 @@ class TestStoreDamage:
 N_KEYS = 12
 
 #: Worker processes start from a fresh interpreter, like a second CLI
-#: sweep on the same directory: SQLite connections must not cross a
-#: fork, and a forked child would inherit the parent's open one.
+#: sweep on the same directory. Forked children that inherit an open
+#: store are the pool path's case (``test_forked_children_...``).
 SPAWN = multiprocessing.get_context("spawn")
 
 
@@ -303,6 +304,30 @@ class TestConcurrencyStress:
             for future in futures:
                 future.result(timeout=120)
         assert errors == []
+        _assert_store_sane(cache, result)
+
+
+    def test_forked_children_open_their_own_connection(self, tmp_path,
+                                                        result):
+        """Pool workers fork with the parent's store open; each must
+        open its own connection on first use and leave the parent's
+        working."""
+        cache = ResultCache(tmp_path / "store")
+        doc = result.to_dict()
+        cache.put(*_key(0), result=result)
+        parent_db = cache._open()
+
+        def work(seed: int):
+            _hammer(cache, doc, seed, n_ops=60)
+            return os.getpid(), cache._open() is not parent_db
+
+        outcome = run_fanout(work, range(4), backend="localpool",
+                             max_workers=2)
+        assert outcome.ok and not outcome.pool_broken
+        assert os.getpid() not in {pid for pid, _ in outcome.results}
+        assert all(own for _, own in outcome.results)
+        assert cache._open() is parent_db
+        assert _hammer(cache, doc, seed=99, n_ops=60) >= 1
         _assert_store_sane(cache, result)
 
 
