@@ -21,13 +21,12 @@ Commands
 ``lint``/``selfcheck`` take ``--format text|json`` and ``--baseline
 FILE`` (a per-code finding budget; exceeding it fails the command even
 for warnings, so new findings cannot accumulate silently — CI pins
-``diagnostics_baseline.json``). ``--jobs N`` fans sweeps out over N
-worker processes; ``--cache DIR`` persists simulation results on disk
-so reruns skip straight to the tables; ``--on-error skip|retry`` keeps
-a sweep alive through per-point failures (recorded in run manifests —
-docs/robustness.md); ``--scheduler inprocess|localpool`` picks the
-execution substrate the fan-out runs on — serial in this process, or a
-local process pool (docs/scheduling.md).
+``diagnostics_baseline.json``). ``--jobs N`` fans sweeps and autotune
+probes out over a pool of N worker processes when N > 1, and runs them
+serially in this process otherwise (docs/scheduling.md); ``--cache
+DIR`` persists simulation results on disk so reruns skip straight to
+the tables; ``--on-error skip|retry`` keeps a sweep alive through
+per-point failures (recorded in run manifests — docs/robustness.md).
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ def _make_context(args: argparse.Namespace) -> ExperimentContext:
         cache_dir=getattr(args, "cache", None),
         max_workers=getattr(args, "jobs", None),
         on_error=getattr(args, "on_error", "raise") or "raise",
-        scheduler=getattr(args, "scheduler", None),
     )
 
 
@@ -338,7 +336,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_autotune(args: argparse.Namespace) -> int:
     """Section IV-F sub-tensor width exploration, with the candidate
-    probes optionally fanned out over a scheduler backend."""
+    probes fanned out over ``--jobs`` worker processes."""
     from repro.arch.autotune import DEFAULT_CANDIDATES, autotune_subtensor_cols
     from repro.matrices import SUITE
 
@@ -353,7 +351,6 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
         paper_nnz=SUITE[args.matrix].paper_nnz,
         probe_iterations=args.probe_iterations,
         arch=args.arch,
-        scheduler=args.scheduler,
         max_workers=args.jobs,
     )
     print(f"{args.workload} on {args.matrix} ({args.arch}): "
@@ -392,7 +389,8 @@ def _add_diag_flags(parser: argparse.ArgumentParser) -> None:
 def _add_context_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "-j", "--jobs", type=int, default=None, metavar="N",
-        help="simulate on N worker processes (default: serial)",
+        help="simulate on a pool of N worker processes when N > 1 "
+             "(default: serial, in this process)",
     )
     parser.add_argument(
         "--cache", default=None, metavar="DIR",
@@ -404,13 +402,6 @@ def _add_context_flags(parser: argparse.ArgumentParser) -> None:
         help="per-point failure policy for sweeps: raise (default), "
              "skip (record failure, continue), or retry (bounded "
              "re-attempts, then skip); see docs/robustness.md",
-    )
-    parser.add_argument(
-        "--scheduler", choices=("inprocess", "localpool"),
-        default=None,
-        help="execution backend for sweep fan-outs: inprocess (serial, "
-             "deterministic) or localpool (process pool); default: "
-             "pool when --jobs > 1, serial otherwise (docs/scheduling.md)",
     )
 
 

@@ -171,9 +171,7 @@ for _s in (
         _spec("SP605", "malformed-ingest", Severity.ERROR,
               "a MatrixMarket file failed validation; the error "
               "carries 'line <n>' context naming the offending line"),
-        _spec("SP606", "watchdog-timeout", Severity.ERROR,
-              "a sweep point exceeded the per-item watchdog budget; "
-              "raise timeout_s or investigate the hang"),
+        # SP606 (watchdog-timeout) is retired: codes are never reused.
         _spec("SP607", "fault-injected", Severity.INFO,
               "a deterministic FaultPlan fault fired at an "
               "instrumented site (chaos testing only)"),

@@ -8,7 +8,7 @@ bounded prefix of the run (the "initial steps") and the fastest is
 adopted for the remainder.
 
 Candidate probes are independent pure simulations, so they always run
-through :func:`repro.scheduler.run_fanout` (``scheduler="localpool"``
+through :func:`repro.scheduler.run_fanout` (``max_workers`` > 1
 probes widths in parallel; ``docs/scheduling.md``). Selection is
 deterministic either way: lowest cycle count wins, first candidate
 wins ties.
@@ -40,7 +40,6 @@ def autotune_subtensor_cols(
     paper_nnz: Optional[int] = None,
     probe_iterations: int = 2,
     arch: str = "sparsepipe",
-    scheduler: Optional[str] = None,
     max_workers: Optional[int] = None,
 ) -> Tuple[int, SimResult]:
     """Pick the fastest sub-tensor width by probing one OEI pair.
@@ -50,9 +49,8 @@ def autotune_subtensor_cols(
     exploration cost stays a small fraction of the full run — exactly
     the paper's "initial steps" budget. ``arch`` dispatches through
     the architecture registry, so any registered config-taking engine
-    can be tuned the same way. ``scheduler`` (a backend name) is the
-    ``run_fanout`` backend of the candidate probes; ``None`` probes
-    serially in-process.
+    can be tuned the same way. The candidate probes run in a process
+    pool iff ``max_workers`` > 1, in this process otherwise.
     """
     if not candidates:
         raise ConfigError("autotuning needs at least one candidate width")
@@ -74,9 +72,7 @@ def autotune_subtensor_cols(
                           paper_nnz=paper_nnz).cycles
 
     cycles_by_width = run_fanout(
-        probe, widths,
-        backend=scheduler or "inprocess",
-        max_workers=max_workers,
+        probe, widths, max_workers=max_workers,
         labels=[f"width={w}" for w in widths],
     ).results
     best_width = None

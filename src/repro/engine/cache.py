@@ -54,11 +54,11 @@ Concurrency and durability: the file is journaled in WAL mode with
 never tears one (nothing is fsynced per put). Two processes on one
 directory — two CLI sweeps — are serialized by SQLite's file locks,
 with a busy timeout. In a process the store holds one connection
-behind one lock, because watchdog threads put through it. SQLite
-connections must not cross a fork, so a forked pool worker that uses
-an inherited store opens its own connection, with its own lock, the
-first time it does (a pid check); the parent's connection is never
-touched there. The connection is checkpointed and closed when the
+behind one lock, because callers may share a store across threads.
+SQLite connections must not cross a fork, so a forked pool worker
+that uses an inherited store opens its own connection, with its own
+lock, the first time it does (a pid check); the parent's connection
+is never touched there. The connection is checkpointed and closed when the
 store is closed, dropped, or the interpreter exits, so a directory
 copied after its writer exited is self-contained.
 """

@@ -132,11 +132,6 @@ class ConvergenceError(ReproError, RuntimeError):
     """An iterative solver failed to converge within its iteration cap."""
 
 
-class WatchdogTimeout(ReproError, TimeoutError):
-    """A supervised sweep item exceeded its per-item watchdog budget
-    (:func:`repro.scheduler.run_fanout`)."""
-
-
 class InjectedFault(ReproError, RuntimeError):
     """A deterministic chaos fault (:mod:`repro.resilience.faults`)
     fired at an instrumented site. Never raised in production runs —

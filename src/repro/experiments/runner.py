@@ -46,13 +46,7 @@ from repro.engine.cache import ResultCache
 from repro.engine.registry import arch_names, get_arch, run_engine
 from repro.errors import ConfigError, Diagnostic
 from repro.resilience.faults import maybe_die
-from repro.scheduler import (
-    DEFAULT_RETRIES,
-    POLICIES,
-    FanoutOutcome,
-    check_backend,
-    run_fanout,
-)
+from repro.scheduler import POLICIES, FanoutOutcome, check_backend, run_fanout
 from repro.graphblas.matrix import Matrix
 from repro.matrices.suite import SUITE, load_suite_matrix, suite_names
 from repro.obs.manifest import RunManifest, Stopwatch, build_manifest
@@ -90,12 +84,9 @@ class ExperimentContext:
     ``workloads``/``matrices`` default to the full Table-III / Table-I
     sets; pass subsets for quick exploratory runs and tests.
     ``cache_dir`` enables the persistent on-disk result cache;
-    ``max_workers`` sets the default process-pool width of
-    :meth:`simulate_many` (``None`` = serial). ``on_error`` is the
-    default per-point failure policy of :meth:`simulate_many`
-    (``"raise"`` | ``"skip"`` | ``"retry"``), ``retries`` bounds the
-    re-attempts under ``"retry"``, and ``timeout_s`` arms the
-    per-point watchdog for in-process attempts.
+    ``max_workers`` sets the process-pool width of
+    :meth:`simulate_many` (``None`` = serial), and ``on_error`` its
+    per-point failure policy (``"raise"`` | ``"skip"`` | ``"retry"``).
     """
 
     config: SparsepipeConfig = field(default_factory=SparsepipeConfig)
@@ -106,12 +97,9 @@ class ExperimentContext:
     cache_dir: Optional[Union[str, Path]] = None
     max_workers: Optional[int] = None
     on_error: str = "raise"
-    retries: int = DEFAULT_RETRIES
-    timeout_s: Optional[float] = None
     #: Scheduler backend name for :meth:`simulate_many` fan-outs
-    #: (``"inprocess"`` | ``"localpool"``); ``None`` picks a local
-    #: pool when both ``max_workers`` and the missing-point count
-    #: exceed one, in-process otherwise.
+    #: (``"inprocess"`` | ``"localpool"``); ``None`` lets
+    #: ``max_workers`` decide (:func:`repro.scheduler.run_fanout`).
     scheduler: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -123,6 +111,12 @@ class ExperimentContext:
         self._preps: Dict[Tuple, PreprocessResult] = {}
         self._graphblas: Dict[str, Matrix] = {}
         self._profiles: Dict[Tuple[str, str], WorkloadProfile] = {}
+        #: Profile ``("profile", workload, matrix)`` and permutation
+        #: ``("permutation", matrix, reorder)`` rows read from the
+        #: store, an absent row as None; a sweep reads the rows its
+        #: missing points need before the fan-out, so pool workers
+        #: never read the store.
+        self._rows: Dict[Tuple, object] = {}
         self._results: Dict[Tuple, SimResult] = {}
         #: Sweep-wide metrics: every fresh simulation reports through
         #: the one-schema registry (cycles, DRAM bytes by category,
@@ -138,11 +132,9 @@ class ExperimentContext:
         self.manifests: Dict[Tuple, RunManifest] = {}
         self._linted: set = set()
         #: SP6xx fault records awaiting the manifest of their point
-        #: (cache quarantines seen on the miss, retries seen during the
-        #: fan-out); :meth:`_record_fresh` folds them in.
+        #: (the store quarantines its reads caused); :meth:`_record_fresh`
+        #: folds them in.
         self._pending_faults: Dict[Tuple, List[Diagnostic]] = {}
-        #: Every store quarantine (SP604) this context surfaced, in order.
-        self._quarantines: List[Diagnostic] = []
 
     # ------------------------------------------------------------------
     # Cached intermediates
@@ -172,11 +164,11 @@ class ExperimentContext:
             perm = None
             if reorder is not None and self._disk is not None:
                 algorithm = reorder_algorithm(reorder)
-                perm = self._disk.get_permutation(
-                    matrix_name, reorder, matrix.nrows)
-                self._surface_quarantines()
+                row = ("permutation", matrix_name, reorder)
+                self._read_row(row)
+                perm = self._rows[row]
                 if perm is None:
-                    perm = algorithm(matrix)
+                    perm = self._rows[row] = algorithm(matrix)
                     self._disk.put_permutation(matrix_name, reorder, perm)
             self._preps[key] = preprocess(
                 matrix, reorder=reorder, block_size=block_size,
@@ -197,9 +189,9 @@ class ExperimentContext:
         if profile is not None:
             return profile
         self._lint_once(workload_name)
-        if self._disk is not None:
-            profile = self._disk.get_profile(workload_name, matrix_name)
-            self._surface_quarantines()
+        row = ("profile", workload_name, matrix_name)
+        self._read_row(row)
+        profile = self._rows.get(row)
         if profile is None:
             profile = get_workload(workload_name).profile(
                 self.graphblas_matrix(matrix_name))
@@ -207,6 +199,31 @@ class ExperimentContext:
                 self._disk.put_profile(workload_name, matrix_name, profile)
         self._profiles[key] = profile
         return profile
+
+    def _read_row(self, row: Tuple, point: Optional[Tuple] = None) -> None:
+        """Read one profile or permutation row of the store into
+        :attr:`_rows`, unless it was read already. The quarantines
+        (SP604) the read causes are counted and become the fault
+        records of ``point``, the missing point that needs the row."""
+        if self._disk is None or row in self._rows:
+            return
+        kind, *names = row
+        if kind == "profile":
+            self._rows[row] = self._disk.get_profile(*names)
+        else:
+            n = load_suite_matrix(names[0]).nrows
+            self._rows[row] = self._disk.get_permutation(*names, n)
+        self._count_quarantines(point)
+
+    def _read_rows(self, key: Tuple) -> None:
+        """Read the profile and permutation rows that missing point
+        ``key`` needs and this context holds no product of."""
+        _arch, workload_name, matrix_name, _cfg, reorder, block_size = key
+        if (workload_name, matrix_name) not in self._profiles:
+            self._read_row(("profile", workload_name, matrix_name), key)
+        if reorder is not None and (
+                (matrix_name, reorder, block_size) not in self._preps):
+            self._read_row(("permutation", matrix_name, reorder), key)
 
     def _lint_once(self, workload_name: str) -> None:
         """Count the workload's verifier diagnostics (warnings the
@@ -273,21 +290,17 @@ class ExperimentContext:
         if self._disk is None:
             return None
         entry = self._disk.get_entry(*key)
-        for diag in self._surface_quarantines():
-            self._pending_faults.setdefault(key, []).append(diag)
+        self._count_quarantines(key)
         return entry
 
-    def _surface_quarantines(self, diags=None) -> List[Diagnostic]:
-        """Count SP604 quarantine diagnostics — the store's, or those a
-        pool worker's reads caused — and log them in
-        :attr:`_quarantines`."""
-        if diags is None:
-            diags = self._disk.pop_diagnostics()
-        for diag in diags:
+    def _count_quarantines(self, point: Optional[Tuple] = None) -> None:
+        """Count the store's new quarantine (SP604) diagnostics; they
+        become the fault records of ``point``, when given."""
+        for diag in self._disk.pop_diagnostics():
             self._count_diagnostic(diag)
             self.metrics.counter("cache.quarantined").inc()
-        self._quarantines.extend(diags)
-        return diags
+            if point is not None:
+                self._pending_faults.setdefault(point, []).append(diag)
 
     def _serve(self, key: Tuple, entry) -> SimResult:
         """Adopt one on-disk store hit as the point's result."""
@@ -323,16 +336,11 @@ class ExperimentContext:
         return self._simulate_fresh(key, cfg)
 
     def _simulate_fresh(self, key: Tuple, cfg: SparsepipeConfig) -> SimResult:
-        """Simulate one already-probed missing point and record it; the
-        quarantines (SP604) its profile and permutation reads caused
-        become the point's fault records."""
+        """Simulate one already-probed missing point and record it."""
         arch, workload_name, matrix_name, _config_key, reorder, block_size = key
-        seen = len(self._quarantines)
+        self._read_rows(key)
         profile = self.profile(workload_name, matrix_name)
         prep = self.prepared(matrix_name, reorder=reorder, block_size=block_size)
-        if len(self._quarantines) > seen:
-            self._pending_faults.setdefault(key, []).extend(
-                self._quarantines[seen:])
         paper_nnz = SUITE[matrix_name].paper_nnz
         with Stopwatch() as watch:
             result = run_engine(arch, cfg, profile, prep, paper_nnz=paper_nnz)
@@ -397,45 +405,32 @@ class ExperimentContext:
         config: Optional[SparsepipeConfig] = None,
         reorder: Optional[str] = "default",
         block_size: object = "default",
-        max_workers: Optional[int] = None,
-        on_error: Optional[str] = None,
-        scheduler: Optional[str] = None,
     ) -> List[Optional[SimResult]]:
         """Simulate many ``(arch, workload, matrix)`` points at once.
 
         Results come back in input order and are bit-identical to
         calling :meth:`simulate` serially — the fan-out only changes
         wall-clock time. Cached points (in-memory or on-disk) are never
-        re-simulated; every missing point runs one closure over this
-        context — a pool worker on its forked copy, reading profiles
-        and permutations from the memo and the store like the parent.
-        ``max_workers=None`` falls back to the context default (serial
-        when that is unset too).
+        re-simulated. This process probes every point's result and
+        reads the profile and permutation rows the missing points need;
+        then one closure over this context simulates and stores each
+        missing point — a pool worker on its forked copy.
 
         The fan-out is supervised: a broken process pool (worker
         OOM-killed) degrades to in-process execution with an SP601
-        diagnostic instead of raising. ``on_error`` (default: the
-        context's policy) governs per-point failures — ``"raise"``
-        propagates the first error; ``"skip"`` and ``"retry"`` (which
-        re-attempts up to ``self.retries`` times first) record a
-        ``status="failed"`` manifest and leave ``None`` in the failed
-        point's result slot, so partial sweeps are first-class.
-
-        ``scheduler`` (default: the context's) picks the execution
-        substrate by backend name — ``"inprocess"`` or ``"localpool"``
-        (``docs/scheduling.md``); ``None`` picks a local pool when both
-        the worker count and the missing-point count exceed one. The
-        policy layer, fault semantics, and results are identical on
-        both backends; ``scheduler.*`` counters land in :attr:`metrics`
-        either way.
+        diagnostic instead of raising. The context's ``on_error``
+        governs per-point failures — ``"raise"`` propagates the first
+        error; ``"skip"`` and ``"retry"`` (which re-attempts first)
+        record a ``status="failed"`` manifest and leave ``None`` in the
+        failed point's result slot, so partial sweeps are first-class.
+        The context's ``scheduler`` and ``max_workers`` pick the
+        backend (``docs/scheduling.md``); the policy layer, fault
+        semantics, and results are identical on both, and
+        ``scheduler.*`` counters land in :attr:`metrics` either way.
         """
         points = [tuple(p) for p in points]
         for arch, _, _ in points:
             get_arch(arch)
-        policy = self.on_error if on_error is None else on_error
-        if policy not in POLICIES:
-            raise ConfigError(
-                f"on_error must be one of {POLICIES}, got {policy!r}")
         cfg = config or self.config
         reorder, block_size = self._resolve(reorder, block_size)
         keys = [
@@ -455,15 +450,11 @@ class ExperimentContext:
             missing[point] = key
 
         if missing:
-            backend = self.scheduler if scheduler is None else scheduler
-            workers = self.max_workers if max_workers is None else max_workers
-            if backend is None:
-                pooled = (workers is not None and workers > 1
-                          and len(missing) > 1)
-                backend = "localpool" if pooled else "inprocess"
-            # Lint here: a pool worker's lint would die with its copy.
-            for _arch, workload, _matrix in missing:
-                self._lint_once(workload)
+            # Lint and read the store here: what a pool worker counts
+            # dies with its copy.
+            for key in missing.values():
+                self._lint_once(key[1])
+                self._read_rows(key)
 
             def fn(point: Point) -> Tuple:
                 # Chaos-test site: no-op unless a FaultPlan with a
@@ -474,20 +465,23 @@ class ExperimentContext:
                 maybe_die("parallel.worker", "/".join(point))
                 # Already probed above: simulate directly, without
                 # re-keying or a second (miss-counting) store probe.
-                key, seen = missing[point], len(self._quarantines)
-                result = self._simulate_fresh(key, cfg)
-                return result, self.manifests[key], self._quarantines[seen:]
+                key = missing[point]
+                return self._simulate_fresh(key, cfg), self.manifests[key]
 
-            outcome = run_fanout(
-                fn, missing,
-                backend=backend,
-                max_workers=workers,
-                timeout_s=self.timeout_s,
-                on_error=policy,
-                retries=self.retries,
-                labels=["/".join(p) for p in missing],
-                metrics=self.metrics,
-            )
+            try:
+                outcome = run_fanout(
+                    fn, missing,
+                    backend=self.scheduler,
+                    max_workers=self.max_workers,
+                    on_error=self.on_error,
+                    labels=["/".join(p) for p in missing],
+                    metrics=self.metrics,
+                )
+            finally:
+                # A pool worker may have filled an absent row since:
+                # later reads go to the store again.
+                self._rows = {row: v for row, v in self._rows.items()
+                              if v is not None}
             self._absorb_outcome(outcome, list(missing.values()))
         return [self._results.get(key) for key in keys]
 
@@ -515,13 +509,12 @@ class ExperimentContext:
                 self._record_failed(
                     key, failure.error, events + [failure.diagnostic])
                 continue
-            result, manifest, quarantines = outcome.results[index]
+            result, manifest = outcome.results[index]
             if key not in self._results:
                 # A pool worker simulated and stored the point: adopt
                 # its record. Its manifest already carries the point's
-                # pending faults and the worker's quarantines.
+                # pending faults.
                 self._pending_faults.pop(key, None)
-                self._surface_quarantines(quarantines)
                 self._results[key] = result
                 self.manifests[key] = manifest
                 registry_from_result(result, registry=self.metrics)

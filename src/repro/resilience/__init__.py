@@ -5,9 +5,8 @@ mid-sweep, cache files torn by crashed writers, malformed SuiteSparse
 downloads. The fan-out policy behind
 ``ExperimentContext.simulate_many``'s ``on_error`` lives in
 :func:`repro.scheduler.run_fanout`: pool breaks degrade to in-process
-execution (SP601), transient item failures retry (SP602), exhausted
-items are recorded as first-class failures (SP603), and a per-item
-watchdog bounds hangs (SP606).
+execution (SP601), transient item failures retry (SP602), and
+exhausted items are recorded as first-class failures (SP603).
 
 This package holds :mod:`repro.resilience.faults` — a seeded,
 deterministic :class:`FaultPlan` injecting worker death, cache-entry

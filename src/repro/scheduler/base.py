@@ -3,10 +3,11 @@
 :func:`run_fanout` maps ``fn`` over ``items`` and owns everything a
 sweep needs around the calls: ordered results, the failure policy
 (``raise`` / ``skip`` / ``retry``), bounded re-attempts (SP602),
-failure records (SP603), the per-item watchdog (SP606), pool-break
-degradation (SP601) and the ``scheduler.*`` counters.
+failure records (SP603), pool-break degradation (SP601) and the
+``scheduler.*`` counters.
 
-The *backend* picks where first attempts run:
+The *backend* picks where first attempts run; left unnamed, it is
+``localpool`` iff more than one worker is allowed:
 
 ``inprocess``
     Serially in the calling process — no pickling, no forks,
@@ -19,8 +20,8 @@ The *backend* picks where first attempts run:
     closure and each pooled call ships only an item index.
 
 Every other attempt — retries, and the first attempts a broken or
-unavailable pool never answered — runs here, item by item, under the
-watchdog, so the at-most-once-per-process fault semantics of
+unavailable pool never answered — runs here, item by item, so the
+at-most-once-per-process fault semantics of
 :mod:`repro.resilience.faults` hold identically on both backends and
 the chaos suite doubles as the conformance oracle. See
 ``docs/scheduling.md``.
@@ -31,7 +32,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -39,18 +39,18 @@ from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar,
 )
 
-from repro.errors import ConfigError, Diagnostic, WatchdogTimeout
+from repro.errors import ConfigError, Diagnostic
 from repro.resilience import faults
 
 T = TypeVar("T")
 
-#: Every backend, by the name ``run_fanout`` and ``--scheduler`` accept.
+#: Every backend, by the name ``run_fanout`` accepts.
 BACKENDS = ("inprocess", "localpool")
 
 #: Valid ``on_error`` policies of :func:`run_fanout`.
 POLICIES = ("raise", "skip", "retry")
 
-#: Default bounded re-attempts under ``on_error="retry"``.
+#: Bounded re-attempts of an item under ``on_error="retry"``.
 DEFAULT_RETRIES = 2
 
 
@@ -138,36 +138,6 @@ def _pooled_call(index: int) -> Tuple:
     return ("ok", result)
 
 
-def _call_with_watchdog(fn: Callable[[T], Any], item: T,
-                        timeout_s: Optional[float]) -> Any:
-    """Run one item, bounded by a watchdog thread when ``timeout_s``
-    is set. A timed-out attempt raises :class:`WatchdogTimeout`; the
-    stuck thread is a daemon and cannot block interpreter exit."""
-    if timeout_s is None:
-        return fn(item)
-    box: Dict[str, Any] = {}
-
-    def target() -> None:
-        try:
-            box["result"] = fn(item)
-        except BaseException as exc:  # re-raised in the caller below
-            box["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        raise WatchdogTimeout(
-            f"item exceeded the {timeout_s}s watchdog budget",
-            diagnostics=(Diagnostic.error(
-                "SP606", f"watchdog expired after {timeout_s}s",
-            ),),
-        )
-    if "error" in box:
-        raise box["error"]
-    return box["result"]
-
-
 def _pool_pass(fn, items: List, max_workers: Optional[int],
                outcome: FanoutOutcome) -> List[Tuple]:
     """First attempts of ``items`` through one map over forked workers,
@@ -216,24 +186,24 @@ def _count(metrics, name: str, n: int = 1) -> None:
 def run_fanout(
     fn: Callable[[T], Any],
     items: Iterable[T],
-    backend: str = "inprocess",
+    backend: Optional[str] = None,
     max_workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
     on_error: str = "raise",
-    retries: int = DEFAULT_RETRIES,
     labels: Optional[Sequence[str]] = None,
     metrics=None,
 ) -> FanoutOutcome:
     """Map ``fn`` over ``items`` under the supervised failure policy
-    (``"raise"`` | ``"skip"`` | ``"retry"``).
+    (``"raise"`` | ``"skip"`` | ``"retry"``, which re-attempts an item
+    up to :data:`DEFAULT_RETRIES` times).
 
-    First attempts run in one pool pass on ``backend="localpool"``
-    (more than one item, more than one worker allowed), in this
-    process otherwise. Every other attempt runs here under the
-    ``timeout_s`` watchdog, lazily, item by item — a ``"raise"``
-    fan-out stops at the first failure. Pool workers are forked, so
-    ``fn`` may be any closure and sees the caller's state as it was
-    at the fork; only its results must be picklable.
+    ``backend=None`` picks ``"localpool"`` iff more than one worker is
+    allowed (``max_workers`` > 1), ``"inprocess"`` otherwise. First
+    attempts run in one pool pass on ``"localpool"`` (more than one
+    item, more than one worker allowed), in this process otherwise.
+    Every other attempt runs here, lazily, item by item — a
+    ``"raise"`` fan-out stops at the first failure. Pool workers are
+    forked, so ``fn`` may be any closure and sees the caller's state
+    as it was at the fork; only its results must be picklable.
 
     Order-preserving and, for pure ``fn``, bit-identical to a serial
     run regardless of backend or degradation path. ``metrics`` (a
@@ -243,6 +213,8 @@ def run_fanout(
     if on_error not in POLICIES:
         raise ValueError(
             f"on_error must be one of {POLICIES}, got {on_error!r}")
+    if backend is None:
+        backend = "localpool" if (max_workers or 1) > 1 else "inprocess"
     check_backend(backend)
     items = list(items)
     outcome = FanoutOutcome(results=[None] * len(items))
@@ -258,11 +230,11 @@ def run_fanout(
 
     def attempt(item: T) -> Tuple:
         try:
-            return ("ok", _call_with_watchdog(fn, item, timeout_s))
+            return ("ok", fn(item))
         except Exception as exc:
             return ("err", exc)
 
-    budget = 1 + (retries if on_error == "retry" else 0)
+    budget = 1 + (DEFAULT_RETRIES if on_error == "retry" else 0)
     for index, item in enumerate(items):
         label = labels[index] if labels else repr(item)
         tag, value = first[index] if index < len(first) else attempt(item)

@@ -64,8 +64,8 @@ def build_spd_system(matrix: Matrix) -> Matrix:
 _SHARED: "weakref.WeakKeyDictionary[Matrix, Tuple[Matrix, Set[type]]]" = (
     weakref.WeakKeyDictionary()
 )
-#: Guards _SHARED: a watchdog-timed-out point may still be running in
-#: its thread when the next one asks for the same system.
+#: Guards _SHARED: threads that characterize the same matrix at once
+#: must build and take one system.
 _SHARED_LOCK = threading.Lock()
 
 

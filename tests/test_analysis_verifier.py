@@ -434,10 +434,11 @@ class TestLintHealth:
     def test_lint_health_reads_the_diagnostics_counters(self):
         from repro.experiments.runner import ExperimentContext
 
-        ctx = ExperimentContext(workloads=("cg",), matrices=("gy",))
+        ctx = ExperimentContext(workloads=("cg",), matrices=("gy",),
+                                on_error="skip")
         ctx.profile("cg", "gy")
         ctx.simulate_many([("ideal", "pr", "gy"), ("ideal", "cg", "gy")],
-                          on_error="skip", block_size=-1)
+                          block_size=-1)
         # Every count is a registry counter; the dict keeps its shape:
         # the total, then severities, then codes, each sorted.
         assert ctx.metrics.value("diagnostics.total") == 4.0

@@ -390,7 +390,9 @@ class TestSimulateMany:
 
     def test_explicit_workers_override_context_default(self):
         serial = ExperimentContext()
-        wide = ExperimentContext()
-        a = serial.simulate_many(self.POINTS, max_workers=None)
-        b = wide.simulate_many(self.POINTS, max_workers=2)
-        assert a == b
+        wide = ExperimentContext(max_workers=2)
+        assert serial.simulate_many(self.POINTS) == \
+            wide.simulate_many(self.POINTS)
+        # More than one worker alone picks the pool.
+        assert serial.metrics.value("scheduler.backend.inprocess") == 1
+        assert wide.metrics.value("scheduler.backend.localpool") == 1

@@ -1,7 +1,7 @@
 """Tests for the resilience layer: the pool worker-death regression,
 the chunksize fix, the fault-injection harness, cache quarantine
 semantics, and ``simulate_many``'s failure policies. The
-``run_fanout`` policies themselves (raise/skip/retry, watchdog) are
+``run_fanout`` policies themselves (raise/skip/retry) are
 covered per backend by ``tests/test_scheduler_conformance.py``."""
 
 import json
@@ -326,5 +326,3 @@ class TestSimulateManyPolicies:
 
         with pytest.raises(ConfigError, match="on_error"):
             ExperimentContext(on_error="explode")
-        with pytest.raises(ConfigError, match="on_error"):
-            ExperimentContext().simulate_many(self.POINTS, on_error="nope")

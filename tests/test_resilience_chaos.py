@@ -16,6 +16,7 @@ upload it as an artifact when the suite fails; both default to
 hermetic per-test values.
 """
 
+import contextlib
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -157,29 +158,58 @@ class TestChaosSweep:
 
 
 class TestChaosStoreRead:
-    def test_corrupt_profile_row_is_quarantined_once(self, chaos_dir,
-                                                     backend):
-        """A sweep point reads a damaged profile row — in a pool worker
-        on ``localpool``. The row is quarantined once, and its SP604
-        reaches the sweeping context and one point's manifest."""
-        cache_dir = chaos_dir / f"profile-{backend}"
-        points = [(a, w, "gy") for a in ("sparsepipe", "ideal", "cpu")
-                  for w in ("pr", "kcore")]
-        ExperimentContext(cache_dir=cache_dir).simulate_many(points)
-        config = replace(SparsepipeConfig(), subtensor_cols=64)
-        baseline = ExperimentContext(config=config).simulate_many(points)
+    """A new-config sweep over a store whose ``pr/gy`` profile row is
+    damaged. The sweeping process reads the row before the fan-out on
+    both backends, so it is quarantined once, and its SP604 reaches the
+    context and one point's manifest."""
+
+    POINTS = [(a, w, "gy") for a in ("sparsepipe", "ideal", "cpu")
+              for w in ("pr", "kcore")]
+    CONFIG = replace(SparsepipeConfig(), subtensor_cols=64)
+
+    def sweep(self, cache_dir, backend, plan=None, **options):
+        """Fill the store, damage the row, sweep :data:`CONFIG` over it
+        (under ``plan``, if given); returns the sweeping context after
+        checking its results against a fault-free run."""
+        ExperimentContext(cache_dir=cache_dir).simulate_many(self.POINTS)
+        baseline = ExperimentContext(config=self.CONFIG).simulate_many(
+            self.POINTS)
         _name, key = ResultCache(cache_dir)._profile_entry("pr", "gy")
         write_doc(cache_dir, key, "garbage{")
 
-        context = ExperimentContext(cache_dir=cache_dir, config=config,
-                                    max_workers=2, scheduler=backend)
-        assert context.simulate_many(points) == baseline
+        context = ExperimentContext(cache_dir=cache_dir, config=self.CONFIG,
+                                    max_workers=2, scheduler=backend,
+                                    **options)
+        with activate(plan) if plan else contextlib.nullcontext():
+            assert context.simulate_many(self.POINTS) == baseline
+        assert len(list(cache_dir.glob("quarantine/*.json"))) == 1
+        return context
+
+    def assert_quarantined_once(self, context):
         assert context.metrics.value("cache.quarantined") == 1
         assert context.lint_health()["diagnostics[SP604]"] == 1
-        recorded = [f for p in points for f in context.manifest(*p).faults
-                    if f.get("code") == "SP604"]
-        assert len(recorded) == 1
-        assert len(list(cache_dir.glob("quarantine/*.json"))) == 1
+        # The SP604 goes to the first point, in fan-out order, that
+        # needs the row: sparsepipe/pr/gy.
+        recorded = [[f for f in context.manifest(*p).faults
+                     if f.get("code") == "SP604"] for p in self.POINTS]
+        assert list(map(len, recorded)) == [1, 0, 0, 0, 0, 0]
+
+    def test_corrupt_profile_row_is_quarantined_once(self, chaos_dir,
+                                                     backend):
+        context = self.sweep(chaos_dir / f"profile-{backend}", backend)
+        self.assert_quarantined_once(context)
+
+    def test_quarantine_survives_a_failed_attempt(self, chaos_dir, backend):
+        """Every point's first attempt raises (a pool worker's, on
+        ``localpool``) and its retry runs in this process: the SP604
+        is still counted once and kept in one manifest."""
+        plan = FaultPlan(seed=SEED, faults={
+            "engine.run": Fault(kind="raise", rate=1.0)})
+        context = self.sweep(chaos_dir / f"retry-{backend}", backend,
+                             plan=plan, on_error="retry")
+        self.assert_quarantined_once(context)
+        assert all(context.manifest(*p).status == "retried"
+                   for p in self.POINTS)
 
 
 class TestChaosIngest:

@@ -2,8 +2,9 @@
 
 One parametrized suite run identically against both ``run_fanout``
 backends (``inprocess`` / ``localpool``): backend-name validation,
-the supervised failure policies (raise/skip/retry), the watchdog,
-worker death, and sweep-level conformance —
+the supervised failure policies (raise/skip/retry), worker death,
+the pool that ``max_workers`` alone picks, and sweep-level
+conformance —
 bit-identical ``SimResult``s and digest-stable manifests regardless of
 substrate. Backends may not special-case their way out: the test ids
 name the backend, so a failure reads as a conformance violation of
@@ -14,15 +15,18 @@ import collections
 import json
 import os
 import shutil
-import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.arch import autotune
 from repro.arch.config import SparsepipeConfig
-from repro.errors import ConfigError, WatchdogTimeout
+from repro.arch.profile import WorkloadProfile
+from repro.engine.registry import run_engine
+from repro.errors import ConfigError
 from repro.experiments.runner import ARCHITECTURES, ExperimentContext
+from repro.matrices import rmat
 from repro.obs.metrics import MetricsRegistry
 from repro.preprocess import pipeline
 from repro.resilience import Fault, FaultPlan, activate
@@ -56,6 +60,10 @@ def _double(x):
     return x * 2
 
 
+def _pid(_x):
+    return os.getpid()
+
+
 def _always_fails(x):
     raise ValueError(f"permanent failure on {x}")
 
@@ -71,11 +79,6 @@ def _flaky_once(x):
     if _CALLS[x] == 1:
         raise ValueError(f"transient failure on {x}")
     return x * 2
-
-
-def _slow(x):
-    time.sleep(30)
-    return x  # pragma: no cover - the watchdog fires first
 
 
 def _die_outside_parent(x):
@@ -118,6 +121,16 @@ class TestProtocol:
         with pytest.raises(ConfigError, match="unknown scheduler"):
             run_fanout(_double, [1], backend="carrier-pigeon")
 
+    @pytest.mark.parametrize("max_workers, pooled",
+                             [(None, False), (1, False), (2, True)])
+    def test_max_workers_alone_picks_the_pool(self, max_workers, pooled):
+        metrics = MetricsRegistry()
+        pids = run_fanout(_pid, range(4), max_workers=max_workers,
+                          metrics=metrics).results
+        assert (_PARENT_PID not in pids) == pooled
+        backend = "localpool" if pooled else "inprocess"
+        assert metrics.value(f"scheduler.backend.{backend}") == 1
+
 
 class TestPolicies:
     """run_fanout's raise/skip/retry semantics, per backend."""
@@ -144,7 +157,7 @@ class TestPolicies:
 
     def test_retry_policy_recovers_transients(self, fanout):
         _CALLS.clear()
-        outcome = fanout(_flaky_once, [4, 5], on_error="retry", retries=2)
+        outcome = fanout(_flaky_once, [4, 5], on_error="retry")
         assert outcome.results == [8, 10]
         assert outcome.ok
         assert sorted(outcome.retried) == [0, 1]
@@ -152,19 +165,9 @@ class TestPolicies:
                    for diags in outcome.retried.values() for d in diags)
 
     def test_retry_policy_exhausts_to_failure(self, fanout):
-        outcome = fanout(_always_fails, [1], on_error="retry", retries=2)
+        outcome = fanout(_always_fails, [1], on_error="retry")
         assert outcome.results == [None]
         assert outcome.failures[0].attempts == 3
-
-    def test_watchdog_times_out_hung_item(self, fanout):
-        outcome = fanout(_slow, [1], on_error="skip", timeout_s=0.2)
-        assert outcome.results == [None]
-        error = outcome.failures[0].error
-        assert "SP606" in error or "Watchdog" in error or "watchdog" in error
-
-    def test_watchdog_raise_policy(self, fanout):
-        with pytest.raises(WatchdogTimeout):
-            fanout(_slow, [1], timeout_s=0.2)
 
     def test_unknown_policy_rejected(self, fanout):
         with pytest.raises(ValueError, match="on_error"):
@@ -309,8 +312,10 @@ class TestPoolReadsTheStore:
         assert context.simulate_many(STORE_POINTS) == expected
         assert context.metrics.value("resilience.pool_breaks") == 0
         assert context.metrics.value("cache.misses") == len(STORE_POINTS)
-        # The workers read the profiles; the parent never needed one.
-        assert context.metrics.value("cache.profile_hits") == 0
+        # The parent read each (workload, matrix) profile once, before
+        # the fan-out, exactly as an in-process sweep does.
+        assert context.metrics.value("cache.profile_hits") == 6
+        assert context.metrics.value("cache.permutation_hits") == 2
 
     def test_one_point_localpool_fanout_uses_the_store(
             self, filled_store, no_recompute):
@@ -335,3 +340,47 @@ class TestPoolReadsTheStore:
         # read per (workload, matrix), the rest from the memo.
         assert context.metrics.value("cache.profile_hits") == 6
         assert context.metrics.value("cache.profile_misses") == 0
+
+
+class TestAutotunePool:
+    """``autotune_subtensor_cols`` probes its candidate widths in forked
+    workers iff more than one worker is allowed, and selects the same
+    width and result either way."""
+
+    CANDIDATES = (16, 64, 256)
+
+    def tune(self, tmp_path, monkeypatch, max_workers):
+        """``(best, result, pids)``: ``pids`` has one line per
+        ``run_engine`` call, written by the process that made it."""
+        log = tmp_path / f"pids-{max_workers}.txt"
+
+        def recording(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return run_engine(*args, **kwargs)
+
+        monkeypatch.setattr(autotune, "run_engine", recording)
+        profile = WorkloadProfile(
+            name="pr", semiring_name="mul_add", has_oei=True,
+            n_iterations=8, path_ewise_ops=2,
+        )
+        best, result = autotune.autotune_subtensor_cols(
+            profile, rmat(500, 4000, seed=5), candidates=self.CANDIDATES,
+            max_workers=max_workers,
+        )
+        return best, result, [int(pid) for pid in log.read_text().split()]
+
+    def test_probes_run_in_forked_workers(self, tmp_path, monkeypatch):
+        _best, _result, pids = self.tune(tmp_path, monkeypatch, 2)
+        # Every probe in a worker, then the full run here.
+        assert len(pids) == len(self.CANDIDATES) + 1
+        assert _PARENT_PID not in pids[:-1]
+        assert pids[-1] == _PARENT_PID
+
+    @pytest.mark.parametrize("max_workers", [None, 1])
+    def test_probes_run_in_process(self, tmp_path, monkeypatch,
+                                   max_workers):
+        best, result, pids = self.tune(tmp_path, monkeypatch, max_workers)
+        assert pids == [_PARENT_PID] * (len(self.CANDIDATES) + 1)
+        pooled_best, pooled_result, _ = self.tune(tmp_path, monkeypatch, 2)
+        assert (best, result) == (pooled_best, pooled_result)
