@@ -46,12 +46,18 @@ def rmat(
     m = int(nnz * 1.35) + 16
     rows = np.zeros(m, dtype=np.int64)
     cols = np.zeros(m, dtype=np.int64)
-    probs = np.array([a, b, c, d])
-    cum = np.cumsum(probs)
+    c0, c1, c2, c3 = np.cumsum(np.array([a, b, c, d])).tolist()
+    # Each level draws u ~ U[0, 1) and picks quadrant q = the number of
+    # cumulative probabilities below u (a left searchsorted). The row
+    # bit is q >= 2, i.e. u > c1; the column bit is q's parity, the xor
+    # of all four comparisons (c3 may round below 1.0, so u > c3 counts).
+    u = np.empty(m)
     for _ in range(levels):
-        quadrant = np.searchsorted(cum, rng.random(m))
-        rows = rows * 2 + (quadrant >= 2)
-        cols = cols * 2 + (quadrant % 2)
+        rng.random(out=u)
+        rows <<= 1
+        rows |= u > c1
+        cols <<= 1
+        cols |= (u > c0) ^ (u > c1) ^ (u > c2) ^ (u > c3)
     scale = n / size
     rows = np.minimum((rows * scale).astype(np.int64), n - 1)
     cols = np.minimum((cols * scale).astype(np.int64), n - 1)

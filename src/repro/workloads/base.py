@@ -84,7 +84,9 @@ class Workload(ABC):
 
         With a matrix, the functional implementation runs first and its
         measured iteration count and activity drive the profile; with
-        ``n_iterations`` the functional run is skipped.
+        ``n_iterations`` the functional run is skipped. Only the count
+        and the activity are read, so a subclass whose count is known
+        in advance (gcn: ``n_layers``) passes it and never runs it.
         """
         activity: Tuple[float, ...] = ()
         if n_iterations is None:

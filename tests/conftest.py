@@ -29,6 +29,15 @@ def update_goldens(request) -> bool:
     return bool(request.config.getoption("--update-goldens"))
 
 
+@pytest.fixture(scope="session")
+def full_context():
+    """One full-suite evaluation context (every workload on every
+    matrix, default config, no store), characterized once per session."""
+    from repro.experiments import ExperimentContext
+
+    return ExperimentContext()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

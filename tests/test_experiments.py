@@ -199,14 +199,16 @@ class TestExport:
 
 
 class TestSummary:
-    def test_summary_claims_structure(self, small_context):
+    def test_every_paper_claim_holds(self, full_context):
         from repro.experiments import summary
 
-        claims = summary.run(small_context)
+        claims = summary.run(full_context)
         assert len(claims) >= 10
-        for c in claims:
-            assert c.claim and c.paper and c.measured
-            assert isinstance(c.holds, bool)
+        broken = [
+            f"{c.claim}: paper {c.paper}, measured {c.measured}"
+            for c in claims if not c.holds
+        ]
+        assert not broken, "claims that no longer hold:\n" + "\n".join(broken)
 
     def test_summary_main_prints_verdicts(self, small_context, capsys):
         from repro.experiments import summary

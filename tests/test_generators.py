@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.matrices import generators
 from repro.matrices import (
     SUITE,
     banded_mesh,
@@ -18,6 +21,7 @@ from repro.matrices import (
     suite_names,
 )
 from repro.oei import reuse_footprint
+from tests.strategies import seeds
 
 
 class TestGenerators:
@@ -89,6 +93,116 @@ class TestGenerators:
     def test_positive_values(self):
         coo = road_network(200, 600, seed=1)
         assert np.all(coo.vals > 0)
+
+
+def _searchsorted_rmat(n, nnz, a=0.57, b=0.19, c=0.19, seed=0):
+    """R-MAT with each level's quadrant picked by ``np.searchsorted``
+    over the cumulative probabilities (the sampler ``rmat`` replaced)."""
+    d = 1.0 - a - b - c
+    if d < 0:
+        raise ValueError(f"rmat probabilities exceed 1: a+b+c={a + b + c}")
+    rng = np.random.default_rng(seed)
+    levels = max(1, int(np.ceil(np.log2(n))))
+    size = 1 << levels
+    m = int(nnz * 1.35) + 16
+    rows = np.zeros(m, dtype=np.int64)
+    cols = np.zeros(m, dtype=np.int64)
+    cum = np.cumsum(np.array([a, b, c, d]))
+    for _ in range(levels):
+        quadrant = np.searchsorted(cum, rng.random(m))
+        rows = rows * 2 + (quadrant >= 2)
+        cols = cols * 2 + (quadrant % 2)
+    scale = n / size
+    rows = np.minimum((rows * scale).astype(np.int64), n - 1)
+    cols = np.minimum((cols * scale).astype(np.int64), n - 1)
+    return generators._trim(generators._finalize(n, rows, cols, rng), nnz)
+
+
+def _assert_same_rmat(n, nnz, seed, **probs):
+    try:
+        want = _searchsorted_rmat(n, nnz, seed=seed, **probs)
+    except ValueError:
+        with pytest.raises(ValueError):
+            rmat(n, nnz, seed=seed, **probs)
+        return
+    got = rmat(n, nnz, seed=seed, **probs)
+    for field in ("rows", "cols", "vals"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+_default_rng = np.random.default_rng
+
+
+class _DrawsOnTheEdges:
+    """A seeded numpy generator whose ``random`` draws only values on
+    and next to the cumulative probabilities ``cum`` (those above a
+    ``cum[3]`` that rounds below 1.0 included); every other method is
+    the real generator's. Plain uniform draws land within one ulp of a
+    boundary with probability ~1e-16."""
+
+    def __init__(self, seed, cum):
+        self._rng = _default_rng(seed)
+        edges = {0.0}
+        for c in cum:
+            edges.update((c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)))
+        self._edges = np.array(sorted(e for e in edges if 0.0 <= e < 1.0))
+
+    def random(self, size=None, out=None):
+        n = size if out is None else out.size
+        draws = self._edges[self._rng.integers(0, self._edges.size, n)]
+        if out is None:
+            return draws
+        out[...] = draws
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestRmatSampler:
+    """``rmat`` draws each quadrant bit from comparisons against the
+    cumulative probabilities; it must reproduce the searchsorted
+    sampler bit for bit, from the same random stream."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 600), nnz=st.integers(1, 3000), seed=seeds)
+    def test_default_probabilities(self, n, nnz, seed):
+        _assert_same_rmat(n, nnz, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.tuples(*[st.floats(0.0, 1.0)] * 4).filter(lambda w: sum(w) > 0),
+        n=st.integers(1, 300), seed=seeds,
+    )
+    def test_drawn_probabilities(self, weights, n, seed):
+        total = sum(weights)
+        a, b, c = (w / total for w in weights[:3])
+        _assert_same_rmat(n, 4 * n, seed, a=a, b=b, c=c)
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.25), (0.25, 0.25), (0.6, 0.4), (1.0, 0.0)])
+    def test_no_fourth_quadrant(self, a, b):
+        c = 1.0 - a - b
+        assert 1.0 - a - b - c == 0.0
+        _assert_same_rmat(257, 2000, 11, a=a, b=b, c=c)
+
+    @pytest.mark.parametrize("a,b,c", [(0.5, 0.2, 0.2), (0.4, 0.3, 0.2), (0.03, 0.29, 0.04)])
+    def test_cumulative_sum_below_one(self, a, b, c):
+        assert np.cumsum([a, b, c, 1.0 - a - b - c])[3] < 1.0
+        _assert_same_rmat(1000, 5000, 3, a=a, b=b, c=c)
+
+    @pytest.mark.parametrize("a,b,c", [
+        (0.03, 0.29, 0.04), (0.5, 0.2, 0.2), (0.57, 0.19, 0.19), (0.5, 0.25, 0.25),
+    ])
+    def test_draws_on_the_boundaries(self, a, b, c, monkeypatch):
+        cum = np.cumsum([a, b, c, 1.0 - a - b - c]).tolist()
+        if (a, b, c) == (0.03, 0.29, 0.04):
+            # cum[3] is 1 - 2**-52: a draw of 1 - 2**-53 lies above it,
+            # and searchsorted puts it in a fifth "quadrant", q = 4.
+            assert np.nextafter(cum[3], 2.0) < 1.0
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _DrawsOnTheEdges(seed, cum))
+        _assert_same_rmat(700, 4000, 5, a=a, b=b, c=c)
 
 
 class TestSuite:

@@ -11,7 +11,9 @@ output unseen:
   and blocked storage byte accounts;
 - ``tests/goldens/functional.json`` — per (workload, matrix), the
   :class:`~repro.workloads.base.FunctionalResult` iteration count,
-  activity tuple and a bitwise digest of the output.
+  activity tuple and a bitwise digest of the output. gcn profiles
+  without a functional run; its recorded count and activity are what
+  ``GCN.profile`` assumes, on every suite matrix.
 
 It also freezes what the simulator's observers see, the layer above it:
 
@@ -32,8 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.arch.config import SparsepipeConfig
@@ -51,6 +55,8 @@ from repro.obs.metrics import MetricsObserver
 from repro.obs.timeline import TimelineObserver
 from repro.preprocess.pipeline import preprocess
 from repro.testing import array_digest, diff_docs
+from repro.workloads.base import FunctionalResult, Workload
+from repro.workloads.gcn import GCN
 from repro.workloads.registry import get_workload, workload_names
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -171,6 +177,47 @@ def test_functional_golden(matrices, update_goldens):
         for name in MATRICES
     }
     _check(FUNCTIONAL_PATH, actual, update_goldens)
+
+
+#: gcn's profile fields that its own layer sizes set; no functional
+#: run feeds them.
+GCN_OWN_FIELDS = (
+    "feature_dim", "extra_ops_per_iteration", "extra_dram_bytes_per_iteration",
+)
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_gcn_profile_is_its_recorded_functional_run(name, matrices, monkeypatch):
+    """gcn profiles without a functional run (its count is ``n_layers``
+    and it records no activity); the functional golden proves that is
+    what the run would have measured, on every suite matrix."""
+    recorded = json.loads(FUNCTIONAL_PATH.read_text())[f"gcn/{name}"]
+    assert recorded["n_iterations"] == GCN().n_layers
+    assert recorded["activity"] == []
+
+    replayed = GCN()
+    replayed.run_functional = lambda matrix, **params: FunctionalResult(
+        output=np.empty(0),
+        n_iterations=recorded["n_iterations"],
+        activity=tuple(recorded["activity"]),
+    )
+    driven = Workload.profile(replayed, matrices[name])
+
+    def no_functional_run(self, matrix, **params):
+        raise AssertionError("gcn.profile ran the functional workload")
+
+    monkeypatch.setattr(GCN, "run_functional", no_functional_run)
+    got = GCN().profile(matrices[name])
+    assert replace(driven, **{f: getattr(got, f) for f in GCN_OWN_FIELDS}) == got
+
+
+def test_context_characterizes_gcn_without_a_functional_run(monkeypatch):
+    def no_functional_run(self, matrix, **params):
+        raise AssertionError("gcn.profile ran the functional workload")
+
+    monkeypatch.setattr(GCN, "run_functional", no_functional_run)
+    context = ExperimentContext(workloads=("gcn",), matrices=("gy",))
+    assert context.profile("gcn", "gy").n_iterations == GCN().n_layers
 
 
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])

@@ -9,7 +9,9 @@ general code it replaced:
 - dense-frontier ``mxv``/``vxm`` against the filtered contraction
   rebuilt from per-call ``np.repeat`` segment ids, across the four paper
   semirings, with and without mask and accumulator;
-- :func:`vanilla_reorder` against the per-row-slice Cuthill–McKee loop.
+- :func:`vanilla_reorder` against the per-row-slice Cuthill–McKee loop
+  over a CSR-built adjacency, on graphs whose rows fall on both sides
+  of ``LIST_ROW_MAX`` and on the suite matrices.
 
 Plus the guard on the cached segment ids: they are read-only, so a
 caller writing into one fails loudly instead of corrupting every later
@@ -33,7 +35,8 @@ from repro.graphblas.mask import Mask
 from repro.graphblas.matrix import Matrix
 from repro.graphblas.ops import _finalize, _segment_reduce, mxv, vxm
 from repro.graphblas.vector import Vector
-from repro.preprocess.vanilla_reorder import _symmetrized_csr, vanilla_reorder
+from repro.matrices.suite import load_suite_matrix, suite_names
+from repro.preprocess.vanilla_reorder import LIST_ROW_MAX, vanilla_reorder
 from repro.semiring import AND_OR, ARIL_ADD, MIN_ADD, MUL_ADD, PLUS
 from repro.testing import random_coo
 from tests.strategies import coo_matrices, raw_coo, seeds
@@ -236,6 +239,13 @@ def test_rank_major_stream_is_built_for_repeated_contractions_only():
 # ----------------------------------------------------------------------
 # Vanilla reorder
 # ----------------------------------------------------------------------
+def _symmetrized_csr(coo):
+    """The undirected adjacency as a CSR of ``A + Aᵀ`` over unit values."""
+    rows = np.concatenate((coo.rows, coo.cols))
+    cols = np.concatenate((coo.cols, coo.rows))
+    return CSRMatrix.from_coo(COOMatrix(coo.shape, rows, cols, np.ones(rows.size)))
+
+
 def _row_slice_reorder(coo):
     """Cuthill–McKee through ``adj.row()`` calls, argsort on every visit."""
     n = coo.nrows
@@ -265,4 +275,39 @@ def _row_slice_reorder(coo):
 @settings(max_examples=60, deadline=None)
 @given(coo_matrices(max_n=40))
 def test_vanilla_reorder_matches_row_slice_loop(coo):
+    assert _same_bits(vanilla_reorder(coo), _row_slice_reorder(coo))
+
+
+@st.composite
+def hub_graphs(draw):
+    """Sparse random graphs with a few stars: hub rows longer than
+    ``LIST_ROW_MAX`` and short rows, so one visit order mixes both
+    row paths. Duplicate edges and self-loops are left in."""
+    n = draw(st.integers(LIST_ROW_MAX + 2, 200))
+    rng = np.random.default_rng(draw(seeds))
+    m = draw(st.integers(0, 3 * n))
+    rows, cols = [rng.integers(0, n, m)], [rng.integers(0, n, m)]
+    for _ in range(draw(st.integers(1, 4))):
+        spokes = rng.choice(n, size=draw(st.integers(LIST_ROW_MAX + 2, n)),
+                            replace=False)
+        hub = np.full(spokes.size, rng.integers(0, n))
+        if draw(st.booleans()):
+            hub, spokes = spokes, hub  # in-star: the hub is a column
+        rows.append(hub)
+        cols.append(spokes)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return COOMatrix((n, n), rows, cols, np.ones(rows.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hub_graphs())
+def test_vanilla_reorder_mixes_row_paths_exactly(coo):
+    degree = _symmetrized_csr(coo).row_nnz()
+    assert degree.max() > LIST_ROW_MAX >= degree.min()
+    assert _same_bits(vanilla_reorder(coo), _row_slice_reorder(coo))
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_vanilla_reorder_matches_row_slice_loop_on_suite(name):
+    coo = load_suite_matrix(name)
     assert _same_bits(vanilla_reorder(coo), _row_slice_reorder(coo))
