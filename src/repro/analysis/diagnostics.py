@@ -197,9 +197,7 @@ for _s in (
         _spec("SP901", "forbidden-import", Severity.ERROR,
               "scipy/networkx are test-only cross-checks (DESIGN.md); "
               "implement the functionality in-library"),
-        _spec("SP902", "unregistered-baseline", Severity.ERROR,
-              "decorate the engine class with @register_arch so the "
-              "registry, CLI, and sweeps can see it"),
+        # SP902 (unregistered-baseline) is retired: codes are never reused.
         _spec("SP903", "cache-key-field-missing", Severity.ERROR,
               "hash every dataclass field in cache_key() (or use "
               "asdict(self)) so config changes invalidate cached "

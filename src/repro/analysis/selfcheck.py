@@ -9,9 +9,6 @@ prefixes it opts into — adding a rule never adds another tree walk.
 
 - **SP901** — no ``scipy``/``networkx`` imports in library code; they
   are test-only cross-checks.
-- **SP902** — every module under ``baselines/`` that defines an
-  engine-like class (one with a ``run`` method) must register it with
-  ``@register_arch``, or the registry/CLI/sweeps silently lose it.
 - **SP903** — every field of a dataclass that defines ``cache_key()``
   must be consumed by it (directly, or wholesale via ``asdict``/
   ``vars``). This is exactly the PR-1 stale-cache bug class: a config
@@ -41,9 +38,9 @@ The **SP91x concurrency-safety family** targets sweep execution
 
 - **SP911** — mutable module-global state (``global`` statements) in
   pool-adjacent packages may only be mutated inside initializer-style
-  functions (``_worker_boot``, ``install``, ``mark_worker``,
-  import latches): a global mutated anywhere else is silently stale in
-  forked pool workers and absent under spawn.
+  functions (``_worker_boot``, ``install``, ``mark_worker``): a global
+  mutated anywhere else is silently stale in forked pool workers and
+  absent under spawn.
 - **SP912** — files in ``engine/``/``resilience/`` must be written
   via the tmp-rename protocol (write a pid-unique temp file, then
   ``Path.replace``): a function that writes a file but never renames
@@ -87,10 +84,9 @@ REFERENCE_BACKEND = "arch/simulator.py"
 SERVICE_ARC_PACKAGES = ("engine", "resilience", "experiments", "scheduler")
 
 #: Function-name markers that identify sanctioned global mutators:
-#: pool initializers (``_worker_boot``), arming/disarming hooks
-#: (``install``, ``mark_worker``), and idempotent import latches
-#: (``_ensure_builtin``).
-INITIALIZER_MARKERS = ("init", "worker", "install", "ensure", "boot")
+#: pool initializers (``_worker_boot``) and arming/disarming hooks
+#: (``install``, ``mark_worker``).
+INITIALIZER_MARKERS = ("init", "worker", "install", "boot")
 
 #: Supervisor-side modules that must never block unboundedly (SP913).
 SUPERVISOR_PATHS = ("resilience/", "scheduler/")
@@ -185,12 +181,8 @@ class SelfCheckPass:
     include: Tuple[str, ...] = ("",)
     #: Path prefixes (or exact paths) this pass skips.
     exclude: Tuple[str, ...] = ()
-    #: Skip package ``__init__.py`` files.
-    skip_init: bool = False
 
     def applies(self, rel: str) -> bool:
-        if self.skip_init and rel.endswith("__init__.py"):
-            return False
         if any(rel.startswith(p) for p in self.exclude):
             return False
         return any(rel.startswith(p) for p in self.include)
@@ -211,34 +203,6 @@ def _check_imports(ctx: ModuleContext, report: DiagnosticReport) -> None:
                 report.add("SP901",
                            f"library code imports {top!r}",
                            f"{ctx.rel}:{node.lineno}")
-
-
-# ----------------------------------------------------------------------
-# SP902: baselines must register
-# ----------------------------------------------------------------------
-def _check_baseline_registration(
-    ctx: ModuleContext, report: DiagnosticReport
-) -> None:
-    engine_classes = []
-    registered = False
-    for node in ast.iter_child_nodes(ctx.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        has_run = any(
-            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and item.name == "run"
-            for item in node.body
-        )
-        if has_run:
-            engine_classes.append(node)
-        if any(_decorator_name(d) == "register_arch"
-               for d in node.decorator_list):
-            registered = True
-    if engine_classes and not registered:
-        first = engine_classes[0]
-        report.add("SP902",
-                   f"defines engine class {first.name!r} but never applies "
-                   "@register_arch", f"{ctx.rel}:{first.lineno}")
 
 
 # ----------------------------------------------------------------------
@@ -467,9 +431,6 @@ def _check_pool_confinement(
 #: Every registered self-lint pass, in execution order.
 PASSES: Tuple[SelfCheckPass, ...] = (
     SelfCheckPass("SP901", "forbidden-import", _check_imports),
-    SelfCheckPass("SP902", "unregistered-baseline",
-                  _check_baseline_registration,
-                  include=("baselines/",), skip_init=True),
     SelfCheckPass("SP903", "cache-key-field-missing", _check_cache_keys),
     SelfCheckPass("SP904", "unseeded-nondeterminism", _check_determinism,
                   include=tuple(f"{p}/" for p in HOT_PATH_PACKAGES)),

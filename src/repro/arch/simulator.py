@@ -52,18 +52,10 @@ from repro.engine.instrumentation import (
     ReplayBatch,
     StepTraceObserver,
 )
-from repro.engine.registry import register_arch
 from repro.formats.coo import COOMatrix
 from repro.preprocess.pipeline import PreprocessResult
 
 
-
-@register_arch(
-    "sparsepipe",
-    takes_config=True,
-    description="the Sparsepipe OEI pipeline simulator (Sections IV-V)",
-    observable=True,
-)
 class SparsepipeSimulator:
     """Simulates one Sparsepipe instance over (workload, matrix) pairs."""
 

@@ -28,7 +28,6 @@ from repro.arch.loaders import LoadPlan
 from repro.arch.profile import WorkloadProfile
 from repro.arch.stats import SimResult, TrafficBreakdown
 from repro.baselines.roofline import fused_vector_bytes, iteration_ops
-from repro.engine.registry import register_arch
 from repro.formats.coo import COOMatrix
 from repro.preprocess.pipeline import PreprocessResult
 
@@ -36,11 +35,6 @@ from repro.preprocess.pipeline import PreprocessResult
 PAPER_LLC_BYTES = 96 * 1024 * 1024
 
 
-@register_arch(
-    "cpu",
-    takes_config=False,
-    description="ALP/GraphBLAS multicore framework (AMD 5800X3D class)",
-)
 @dataclass(frozen=True)
 class CPUModel:
     """Analytical multicore STA framework model."""

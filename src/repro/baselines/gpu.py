@@ -18,7 +18,6 @@ from repro.arch.loaders import LoadPlan
 from repro.arch.profile import WorkloadProfile
 from repro.arch.stats import SimResult, TrafficBreakdown
 from repro.baselines.roofline import iteration_ops, unfused_vector_bytes
-from repro.engine.registry import register_arch
 from repro.formats.coo import COOMatrix
 from repro.preprocess.pipeline import PreprocessResult
 
@@ -26,11 +25,6 @@ from repro.preprocess.pipeline import PreprocessResult
 PAPER_L2_BYTES = 36 * 1024 * 1024
 
 
-@register_arch(
-    "gpu",
-    takes_config=False,
-    description="GraphBLAST/Gunrock GPU framework (RTX 4070 class)",
-)
 @dataclass(frozen=True)
 class GPUModel:
     """Analytical GPU STA framework model."""

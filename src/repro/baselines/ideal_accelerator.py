@@ -20,16 +20,10 @@ from repro.baselines.roofline import (
     iteration_ops,
     unfused_vector_bytes,
 )
-from repro.engine.registry import register_arch
 from repro.formats.coo import COOMatrix
 from repro.preprocess.pipeline import PreprocessResult
 
 
-@register_arch(
-    "ideal",
-    takes_config=True,
-    description="idealized intra-operator accelerator, always at roofline",
-)
 class IdealAccelerator:
     """Roofline model with per-iteration matrix streaming."""
 

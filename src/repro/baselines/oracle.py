@@ -23,16 +23,10 @@ from repro.baselines.roofline import (
     iteration_ops,
     pair_vector_bytes,
 )
-from repro.engine.registry import register_arch
 from repro.formats.coo import COOMatrix
 from repro.preprocess.pipeline import PreprocessResult
 
 
-@register_arch(
-    "oracle",
-    takes_config=True,
-    description="perfect OEI executor, matrix streamed once per pair",
-)
 class OracleAccelerator:
     """Roofline model of a perfect OEI executor."""
 

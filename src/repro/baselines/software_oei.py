@@ -38,16 +38,10 @@ from repro.baselines.roofline import (
     iteration_ops,
     pair_vector_bytes,
 )
-from repro.engine.registry import register_arch
 from repro.formats.coo import COOMatrix
 from repro.preprocess.pipeline import PreprocessResult
 
 
-@register_arch(
-    "software_oei",
-    takes_config=False,
-    description="CPU running the OEI pair schedule in software (Sec II-B/VIII)",
-)
 @dataclass(frozen=True)
 class SoftwareOEIModel:
     """ALP/GraphBLAS-class CPU running the OEI pair schedule in

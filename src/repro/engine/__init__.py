@@ -4,8 +4,8 @@ Three concerns every backend and every experiment share, factored out
 of the individual models and drivers:
 
 - :mod:`repro.engine.registry` — the :class:`Engine` protocol and the
-  architecture registry (``register_arch`` / ``create_engine``);
-  every model the evaluation compares plugs in here,
+  architecture table (``ARCHS`` / ``create_engine``): one row for
+  every model the evaluation compares,
 - :mod:`repro.engine.instrumentation` — the observer protocol: both
   simulator backends deliver their step / transfer / evict / repack /
   prefetch events as one ``ReplayBatch`` per OEI pair or stream to
@@ -31,7 +31,6 @@ from repro.engine.registry import (
     arch_names,
     create_engine,
     get_arch,
-    register_arch,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "arch_names",
     "create_engine",
     "get_arch",
-    "register_arch",
 ]

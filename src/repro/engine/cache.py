@@ -70,6 +70,7 @@ import itertools
 import json
 import os
 import threading
+import time
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,6 +100,11 @@ STORE_FILE = "store.sqlite"
 
 #: Seconds a statement waits for another process's write to commit.
 BUSY_TIMEOUT_S = 60.0
+
+#: Seconds between tries of a store-open statement while the store is
+#: locked (opening polls: SQLite refuses a journal-mode switch under
+#: another connection's write lock at once, busy timeout or not).
+_OPEN_POLL_S = 0.05
 
 #: ``kind`` is the payload field: ``"result"``, ``"profile"`` or
 #: ``"permutation"``.
@@ -145,6 +151,22 @@ def _close(db, pid: int) -> None:
         db.close()
 
 
+def _when_unlocked(db, sql: str) -> None:
+    """Run ``sql`` on ``db`` (busy timeout 0), polling while the store
+    is locked, for up to :data:`BUSY_TIMEOUT_S` in all."""
+    import sqlite3
+
+    for _ in range(int(BUSY_TIMEOUT_S / _OPEN_POLL_S)):
+        try:
+            db.execute(sql)
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc):
+                raise
+        time.sleep(_OPEN_POLL_S)
+    db.execute(sql)
+
+
 def _connect(path: Path, on_corrupt: Callable[[Exception], None]):
     """Open the store at ``path``. A file that is not a database is
     handed to ``on_corrupt`` while the failed connection is still open
@@ -152,12 +174,13 @@ def _connect(path: Path, on_corrupt: Callable[[Exception], None]):
     a fresh store is opened in its place."""
     import sqlite3  # here, so runs without a store never load it
 
-    db = sqlite3.connect(path, timeout=BUSY_TIMEOUT_S, isolation_level=None,
+    db = sqlite3.connect(path, timeout=0, isolation_level=None,
                          check_same_thread=False)
     try:
-        db.execute("PRAGMA journal_mode=WAL")
+        _when_unlocked(db, "PRAGMA journal_mode=WAL")
         db.execute("PRAGMA synchronous=NORMAL")
-        db.execute(_SCHEMA)
+        _when_unlocked(db, _SCHEMA)
+        db.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
         return db
     except sqlite3.OperationalError:
         db.close()

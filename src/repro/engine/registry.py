@@ -2,12 +2,12 @@
 
 Every architecture the evaluation compares — the Sparsepipe pipeline
 simulator, the roofline baselines, the CPU/GPU framework models, and
-the software-OEI study of Section VIII — registers itself under a short
-name with :func:`register_arch`. Consumers (:class:`~repro.experiments.
+the software-OEI study of Section VIII — is one row of the literal
+table :data:`ARCHS`. Consumers (:class:`~repro.experiments.
 runner.ExperimentContext`, the CLI, :mod:`repro.arch.sweep`,
 :mod:`repro.arch.autotune`) obtain a ready-to-run engine with
 :func:`create_engine` instead of hard-coding an ``if/elif`` chain per
-model, so adding a backend is one decorator, not five call-site edits.
+model, so adding a backend is one table row, not five call-site edits.
 
 Every engine satisfies the :class:`Engine` protocol::
 
@@ -18,16 +18,10 @@ Every engine satisfies the :class:`Engine` protocol::
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
-
-try:  # pragma: no cover - always present on >= 3.8
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
+from functools import lru_cache
+from typing import Optional, Protocol, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.resilience.faults import maybe_raise
@@ -37,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.arch.stats import SimResult
 
 
-@runtime_checkable
 class Engine(Protocol):
     """What every architecture model must provide.
 
@@ -55,112 +48,77 @@ class Engine(Protocol):
         ...  # pragma: no cover
 
 
+#: The architectures the evaluation compares, in the order of its
+#: narrative (the order of :func:`arch_names`): name -> (module, class,
+#: takes_config, observable, description). A ``takes_config=False``
+#: engine is built as ``cls()`` and ignores the config — the CPU/GPU
+#: framework models carry their own hardware constants. An
+#: ``observable`` engine's ``run`` accepts an ``observers=`` sequence
+#: and streams instrumentation events (:mod:`repro.engine.
+#: instrumentation`) — the ones ``python -m repro trace`` and the
+#: observability layer (:mod:`repro.obs`) can attach timelines and live
+#: metrics to. Classes are imported on first use, so ``repro.engine``
+#: itself stays import-cycle-free.
+ARCHS = {
+    "sparsepipe": ("repro.arch.simulator", "SparsepipeSimulator", True, True,
+                   "the Sparsepipe OEI pipeline simulator (Sections IV-V)"),
+    "ideal": ("repro.baselines.ideal_accelerator", "IdealAccelerator",
+              True, False,
+              "idealized intra-operator accelerator, always at roofline"),
+    "oracle": ("repro.baselines.oracle", "OracleAccelerator", True, False,
+               "perfect OEI executor, matrix streamed once per pair"),
+    "cpu": ("repro.baselines.cpu", "CPUModel", False, False,
+            "ALP/GraphBLAS multicore framework (AMD 5800X3D class)"),
+    "gpu": ("repro.baselines.gpu", "GPUModel", False, False,
+            "GraphBLAST/Gunrock GPU framework (RTX 4070 class)"),
+    "software_oei": (
+        "repro.baselines.software_oei", "SoftwareOEIModel", False, False,
+        "CPU running the OEI pair schedule in software (Sec II-B/VIII)"),
+}
+
+
 @dataclass(frozen=True)
 class ArchSpec:
-    """One registered architecture.
-
-    ``observable`` marks engines whose ``run`` accepts an
-    ``observers=`` sequence and streams instrumentation events
-    (:mod:`repro.engine.instrumentation`) — the ones ``python -m repro
-    trace`` and the observability layer (:mod:`repro.obs`) can attach
-    timelines and live metrics to.
-    """
+    """One row of :data:`ARCHS`, its engine class resolved."""
 
     name: str
-    factory: Callable[[Optional["SparsepipeConfig"]], Engine]
+    cls: type
     takes_config: bool
-    description: str = ""
-    observable: bool = False
+    observable: bool
+    description: str
+
+    def create(self, config: Optional["SparsepipeConfig"] = None) -> Engine:
+        if self.takes_config and config is not None:
+            return self.cls(config)
+        return self.cls()
 
 
-_REGISTRY: Dict[str, ArchSpec] = {}
-_BUILTIN_LOADED = False
-
-#: Display order of the built-in architectures (matching the paper's
-#: evaluation narrative). Third-party registrations list after these,
-#: in registration order — import order must not change the CLI.
-_BUILTIN_ORDER = ("sparsepipe", "ideal", "oracle", "cpu", "gpu", "software_oei")
-
-
-def register_arch(
-    name: str, *, takes_config: bool = True, description: str = "",
-    observable: bool = False,
-) -> Callable[[type], type]:
-    """Class decorator registering an architecture model.
-
-    ``takes_config=True`` engines are constructed as ``cls(config)``
-    (or ``cls()`` when no config is supplied); ``takes_config=False``
-    engines are constructed as ``cls()`` and the config is ignored —
-    the CPU/GPU framework models carry their own hardware constants.
-    ``observable=True`` declares that ``run`` accepts ``observers=``
-    and streams the instrumentation event contract.
-    """
-    if not name or not isinstance(name, str):
-        raise ConfigError(f"architecture name must be a non-empty string, got {name!r}")
-
-    def decorate(cls: type) -> type:
-        if name in _REGISTRY:
-            raise ConfigError(f"architecture {name!r} is already registered")
-        if takes_config:
-            def factory(config=None, _cls=cls):
-                return _cls() if config is None else _cls(config)
-        else:
-            def factory(config=None, _cls=cls):
-                return _cls()
-        _REGISTRY[name] = ArchSpec(
-            name=name,
-            factory=factory,
-            takes_config=takes_config,
-            description=description or (cls.__doc__ or "").strip().splitlines()[0],
-            observable=observable,
-        )
-        return cls
-
-    return decorate
-
-
-def _ensure_builtin() -> None:
-    """Import every module that self-registers a built-in architecture.
-
-    Lazy so that ``repro.engine`` itself stays import-cycle-free: the
-    model modules import :func:`register_arch` from here.
-    """
-    global _BUILTIN_LOADED
-    if _BUILTIN_LOADED:
-        return
-    _BUILTIN_LOADED = True
-    import repro.arch.simulator            # noqa: F401  (sparsepipe)
-    import repro.baselines.ideal_accelerator  # noqa: F401  (ideal)
-    import repro.baselines.oracle          # noqa: F401  (oracle)
-    import repro.baselines.cpu             # noqa: F401  (cpu)
-    import repro.baselines.gpu             # noqa: F401  (gpu)
-    import repro.baselines.software_oei    # noqa: F401  (software_oei)
+@lru_cache(maxsize=None)
+def _resolve(name: str, row: tuple) -> ArchSpec:
+    module, cls, takes_config, observable, description = row
+    return ArchSpec(name, getattr(importlib.import_module(module), cls),
+                    takes_config, observable, description)
 
 
 def arch_names() -> Tuple[str, ...]:
-    """Registered architecture names: built-ins in canonical order,
-    then third-party registrations in registration order."""
-    _ensure_builtin()
-    builtin = [n for n in _BUILTIN_ORDER if n in _REGISTRY]
-    extra = [n for n in _REGISTRY if n not in _BUILTIN_ORDER]
-    return tuple(builtin + extra)
+    """Every architecture name, in :data:`ARCHS` order."""
+    return tuple(ARCHS)
 
 
 def get_arch(name: str) -> ArchSpec:
-    """Look up one registered architecture; raises ConfigError if unknown."""
-    _ensure_builtin()
+    """Look up one architecture; raises ConfigError if unknown."""
     try:
-        return _REGISTRY[name]
+        row = ARCHS[name]
     except KeyError:
         raise ConfigError(
             f"unknown architecture {name!r}; expected one of {arch_names()}"
         ) from None
+    return _resolve(name, row)
 
 
 def create_engine(name: str, config: Optional["SparsepipeConfig"] = None) -> Engine:
     """Instantiate a ready-to-run engine for one architecture."""
-    spec = get_arch(name)
-    return spec.factory(config)
+    return get_arch(name).create(config)
 
 
 #: Sentinel distinguishing "caller passed no observers argument" from an
@@ -208,7 +166,7 @@ def run_engine(
     # Chaos-test site: lets the fault-injection harness prove the
     # sweep-level retry path without a purpose-built flaky engine.
     maybe_raise("engine.run", f"{name}/{getattr(profile, 'name', '?')}")
-    engine = spec.factory(config)
+    engine = spec.create(config)
     cfg = config if config is not None else getattr(engine, "config", None)
     if observers is not _OBSERVERS_UNSET:
         if not spec.observable:

@@ -6,6 +6,19 @@ from repro.__main__ import build_parser, main
 from repro.formats.matrix_market import write_matrix_market
 from tests.conftest import random_coo
 
+#: ``repro list``'s architecture section, verbatim: names, order and
+#: descriptions.
+ARCHITECTURES_SECTION = """\
+architectures:
+  sparsepipe   the Sparsepipe OEI pipeline simulator (Sections IV-V)
+  ideal        idealized intra-operator accelerator, always at roofline
+  oracle       perfect OEI executor, matrix streamed once per pair
+  cpu          ALP/GraphBLAS multicore framework (AMD 5800X3D class)
+  gpu          GraphBLAST/Gunrock GPU framework (RTX 4070 class)
+  software_oei CPU running the OEI pair schedule in software (Sec II-B/VIII)
+
+"""
+
 
 class TestParser:
     def test_requires_command(self):
@@ -27,7 +40,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "pr" in out and "sssp" in out
         assert "ca" in out and "eu" in out
-        assert "sparsepipe" in out
+        section = out[out.index("architectures:"):out.index("experiments:")]
+        assert section == ARCHITECTURES_SECTION
 
     def test_footprint(self, capsys):
         assert main(["footprint"]) == 0

@@ -2,13 +2,16 @@
 instrumentation, the persistent result cache, and the parallel
 experiment fan-out."""
 
+import ast
 import hashlib
 import json
 import pickle
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.engine.registry as registry_mod
 import repro.experiments.runner as runner_mod
 from repro.arch.config import SparsepipeConfig
@@ -25,7 +28,6 @@ from repro.engine import (
     arch_names,
     create_engine,
     get_arch,
-    register_arch,
 )
 from repro.errors import ConfigError
 from tests.store_rows import write_doc
@@ -58,8 +60,7 @@ def prep():
 
 class TestRegistry:
     def test_builtins_in_canonical_order(self):
-        names = arch_names()
-        assert names[: len(BUILTINS)] == BUILTINS
+        assert arch_names() == BUILTINS
 
     def test_unknown_architecture_raises(self):
         with pytest.raises(ConfigError, match="unknown architecture"):
@@ -68,32 +69,6 @@ class TestRegistry:
     def test_unknown_error_lists_alternatives(self):
         with pytest.raises(ConfigError, match="sparsepipe"):
             create_engine("npu")
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            @register_arch("sparsepipe")
-            class Clash:  # pragma: no cover - never registered
-                pass
-
-    def test_third_party_registration_and_creation(self):
-        @register_arch("null-engine", takes_config=False,
-                       description="does nothing")
-        class NullEngine:
-            def prepare(self, profile, matrix):
-                return None
-
-            def run(self, profile, matrix, paper_nnz=None):
-                return "ran"
-
-        try:
-            assert "null-engine" in arch_names()
-            # Third-party names list after the built-ins.
-            assert arch_names().index("null-engine") >= len(BUILTINS)
-            engine = create_engine("null-engine")
-            assert engine.run(None, None) == "ran"
-            assert get_arch("null-engine").description == "does nothing"
-        finally:
-            del registry_mod._REGISTRY["null-engine"]
 
     def test_takes_config_flags(self):
         assert get_arch("sparsepipe").takes_config
@@ -118,6 +93,43 @@ class TestRegistry:
             assert engine.prepare(profile, prep) is not None
             result = engine.run(profile, prep)
             assert result.cycles > 0, name
+
+
+def _engine_like_classes():
+    """``(module, class)`` of every top-level class under ``baselines/``
+    and in ``arch/simulator.py`` that defines ``run``."""
+    root = Path(repro.__file__).resolve().parent
+    paths = sorted((root / "baselines").glob("*.py"))
+    found = set()
+    for path in paths + [root / "arch" / "simulator.py"]:
+        parts = path.relative_to(root).with_suffix("").parts
+        module = ".".join(("repro",) + parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "run"
+                for item in node.body
+            ):
+                found.add((module, node.name))
+    return found
+
+
+class TestArchTable:
+    def test_every_engine_class_is_a_table_row(self):
+        """An engine class missing from the table is invisible to the
+        CLI, the sweeps and ExperimentContext; a row without one is a
+        dangling name."""
+        rows = {row[:2] for row in registry_mod.ARCHS.values()}
+        assert _engine_like_classes() == rows
+
+    def test_every_row_resolves_to_an_engine(self):
+        for name in arch_names():
+            cls = get_arch(name).cls
+            assert callable(getattr(cls, "prepare", None)), name
+            assert callable(getattr(cls, "run", None)), name
+
+    def test_each_class_resolves_once(self):
+        assert get_arch("cpu") is get_arch("cpu")
 
 
 class TestCacheKey:

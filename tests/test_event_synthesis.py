@@ -147,13 +147,27 @@ class TestPropertySynthesis:
 class _StubEngine:
     """Records what run_engine forwarded to it."""
 
+    #: Every instance built, in order (reset per test by ``stub_engines``).
+    built: list = []
+
     def __init__(self, config=None):
         self.config = config
         self.calls = []
+        _StubEngine.built.append(self)
 
     def run(self, profile, matrix, paper_nnz=None, **kwargs):
         self.calls.append(kwargs)
         return "ran"
+
+
+@pytest.fixture
+def stub_engines(monkeypatch):
+    """The engines run_engine builds for an observable, config-taking
+    ``stub-observable`` row of the architecture table."""
+    monkeypatch.setitem(registry.ARCHS, "stub-observable",
+                        (__name__, "_StubEngine", True, True, "test stub"))
+    monkeypatch.setattr(_StubEngine, "built", [])
+    return _StubEngine.built
 
 
 class TestRunEngineRouting:
@@ -161,25 +175,10 @@ class TestRunEngineRouting:
         assert SparsepipeConfig.backend == "vectorized"
         assert registry._default_backend() == "vectorized"
 
-    def test_config_missing_backend_attr_inherits_default(self, monkeypatch):
+    def test_config_missing_backend_attr_inherits_default(self, stub_engines):
         """A config object without a ``backend`` attribute (baseline
         configs) must inherit the vectorized default, not crash and not
         silently pin the reference loop."""
-        engines = []
-
-        def factory(config=None):
-            engine = _StubEngine(config)
-            engines.append(engine)
-            return engine
-
-        monkeypatch.setitem(
-            registry._REGISTRY, "stub-observable",
-            registry.ArchSpec(
-                name="stub-observable", factory=factory, takes_config=True,
-                description="test stub", observable=True,
-            ),
-        )
-
         class NoBackendConfig:
             pass
 
@@ -189,28 +188,14 @@ class TestRunEngineRouting:
         assert out == "ran"
         # Vectorized default -> the zero-observer contract is requested
         # explicitly rather than leaving the engine to guess.
-        assert engines[0].calls == [{"observers": ()}]
+        assert stub_engines[0].calls == [{"observers": ()}]
 
-    def test_reference_config_takes_plain_run(self, monkeypatch):
-        engines = []
-
-        def factory(config=None):
-            engine = _StubEngine(config)
-            engines.append(engine)
-            return engine
-
-        monkeypatch.setitem(
-            registry._REGISTRY, "stub-observable",
-            registry.ArchSpec(
-                name="stub-observable", factory=factory, takes_config=True,
-                description="test stub", observable=True,
-            ),
-        )
+    def test_reference_config_takes_plain_run(self, stub_engines):
         registry.run_engine(
             "stub-observable", SparsepipeConfig(backend="reference"),
             profile=None, matrix=None,
         )
-        assert engines[0].calls == [{}]
+        assert stub_engines[0].calls == [{}]
 
     def test_observers_on_non_observable_arch_raises_sp907(self):
         with pytest.raises(ConfigError, match=r"\[SP907\]"):
@@ -219,24 +204,10 @@ class TestRunEngineRouting:
                 observers=[TimelineObserver()],
             )
 
-    def test_explicit_observers_forwarded_verbatim(self, monkeypatch):
-        engines = []
-
-        def factory(config=None):
-            engine = _StubEngine(config)
-            engines.append(engine)
-            return engine
-
-        monkeypatch.setitem(
-            registry._REGISTRY, "stub-observable",
-            registry.ArchSpec(
-                name="stub-observable", factory=factory, takes_config=True,
-                description="test stub", observable=True,
-            ),
-        )
+    def test_explicit_observers_forwarded_verbatim(self, stub_engines):
         obs = (TimelineObserver(),)
         registry.run_engine(
             "stub-observable", SparsepipeConfig(), profile=None, matrix=None,
             observers=obs,
         )
-        assert engines[0].calls == [{"observers": obs}]
+        assert stub_engines[0].calls == [{"observers": obs}]

@@ -2,6 +2,9 @@
 subset — fast enough for the unit suite, exercising every figure's
 logic end to end."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError
@@ -20,6 +23,14 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.report import format_bar_series, format_table
+from repro.experiments.runner import ARCHITECTURES
+from repro.matrices.suite import suite_names
+from repro.testing import digest
+from repro.workloads.registry import workload_names
+
+#: Committed digests of the default-config grid, one per
+#: ``arch/workload/matrix`` (perfbench's ``grid`` family).
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +220,20 @@ class TestSummary:
             for c in claims if not c.holds
         ]
         assert not broken, "claims that no longer hold:\n" + "\n".join(broken)
+
+    def test_every_grid_point_matches_its_digest(self, full_context):
+        """All 11 x 9 x 6 default-config points, every engine built
+        through the architecture table, against the committed digests."""
+        expected = json.loads(EXPECTED.read_text(encoding="utf-8"))["grid"]
+        points = [(a, w, m) for a in ARCHITECTURES
+                  for w in workload_names() for m in suite_names()]
+        results = full_context.simulate_many(points)
+        assert len(points) == len(expected) == 594
+        mismatched = [
+            "/".join(p) for p, r in zip(points, results)
+            if digest(r.to_dict()) != expected["/".join(p)]
+        ]
+        assert mismatched == []
 
     def test_summary_main_prints_verdicts(self, small_context, capsys):
         from repro.experiments import summary

@@ -307,6 +307,30 @@ class TestConcurrencyStress:
         _assert_store_sane(cache, result)
 
 
+    def test_open_waits_out_a_held_write_lock(self, tmp_path, result):
+        """A new store another connection holds a write transaction on:
+        opening it waits for the lock, even where SQLite refuses the
+        journal-mode switch as busy without applying its busy timeout."""
+        import sqlite3
+
+        root = tmp_path / "store"
+        root.mkdir()
+        holder = sqlite3.connect(root / STORE_FILE, isolation_level=None,
+                                 check_same_thread=False)
+        holder.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.3, holder.execute, args=("COMMIT",))
+        release.start()
+        try:
+            cache = ResultCache(root)
+            assert release.finished.is_set()
+        finally:
+            release.join()
+            holder.close()
+        busy_ms = cache._open().execute("PRAGMA busy_timeout").fetchone()[0]
+        assert busy_ms == cache_mod.BUSY_TIMEOUT_S * 1000
+        cache.put(*_key(0), result=result)
+        assert cache.get(*_key(0)) == result
+
     def test_forked_children_open_their_own_connection(self, tmp_path,
                                                         result):
         """Pool workers fork with the parent's store open; each must
