@@ -305,29 +305,30 @@ class ResultCache:
         return out
 
     # ------------------------------------------------------------------
-    # Keying: (entry name, key string); the name files a quarantined
-    # document and keys the cache.get fault site
+    # Keying: (name stem, key string). The entry name, the stem plus a
+    # hash of the key, files a quarantined document and keys the
+    # cache.get fault site, so it is hashed only for a row that was read
     # ------------------------------------------------------------------
     def _entry(self, arch, workload, matrix, config_key, reorder,
                block_size) -> Tuple[str, str]:
         key = json.dumps([self.code_version, *map(str, (
             arch, workload, matrix, config_key, reorder, block_size))])
-        return _entry_name(f"{arch}-{workload}-{matrix}", key), key
+        return f"{arch}-{workload}-{matrix}", key
 
     def _profile_entry(self, workload, matrix) -> Tuple[str, str]:
         key = json.dumps(
             [self.code_version, "profile", str(workload), str(matrix)])
-        return _entry_name(f"{workload}-{matrix}", key), key
+        return f"{workload}-{matrix}", key
 
     def _permutation_entry(self, matrix, reorder) -> Tuple[str, str]:
         key = json.dumps(
             [self.code_version, "permutation", str(matrix), str(reorder)])
-        return _entry_name(f"{matrix}-{reorder}", key), key
+        return f"{matrix}-{reorder}", key
 
     # ------------------------------------------------------------------
     # One get/put pair for every kind
     # ------------------------------------------------------------------
-    def _get(self, name: str, key: str, kind: str, decode: Callable,
+    def _get(self, stem: str, key: str, kind: str, decode: Callable,
              fault_site: Optional[str] = None):
         """``(document, decoded doc[kind])``, or None on any kind of
         miss; a row that fails to parse, fails the key check or fails
@@ -338,6 +339,7 @@ class ResultCache:
                 "SELECT doc FROM entries WHERE key = ?", (key,)).fetchone()
         if row is None:
             return None
+        name = _entry_name(stem, key)
         stored = text = row[0]
         if fault_site is not None:
             text = maybe_corrupt_text(fault_site, name, stored)
@@ -382,10 +384,10 @@ class ResultCache:
         returned marked ``from_cache=True`` (``None`` for entries
         written before manifests existed, or by manifest-less callers).
         """
-        name, key = self._entry(
+        stem, key = self._entry(
             arch, workload, matrix, config_key, reorder, block_size
         )
-        found = self._get(name, key, "result", SimResult.from_dict,
+        found = self._get(stem, key, "result", SimResult.from_dict,
                           fault_site="cache.get")
         if found is None:
             self._count("cache.misses")
@@ -407,7 +409,7 @@ class ResultCache:
         result: SimResult, manifest: Optional[RunManifest] = None,
     ) -> str:
         """Store one result (one atomic commit); returns its key."""
-        _name, key = self._entry(
+        _stem, key = self._entry(
             arch, workload, matrix, config_key, reorder, block_size
         )
         return self._put(key, "result", {
@@ -422,8 +424,8 @@ class ResultCache:
     def get_profile(self, workload, matrix) -> Optional[WorkloadProfile]:
         """Stored profile of one (workload, matrix), or None on any kind
         of miss (a corrupt entry is quarantined, as for results)."""
-        name, key = self._profile_entry(workload, matrix)
-        found = self._get(name, key, "profile", WorkloadProfile.from_dict)
+        stem, key = self._profile_entry(workload, matrix)
+        found = self._get(stem, key, "profile", WorkloadProfile.from_dict)
         self._count(
             "cache.profile_misses" if found is None
             else "cache.profile_hits"
@@ -432,7 +434,7 @@ class ResultCache:
 
     def put_profile(self, workload, matrix, profile: WorkloadProfile) -> str:
         """Store one profile; returns its key."""
-        _name, key = self._profile_entry(workload, matrix)
+        _stem, key = self._profile_entry(workload, matrix)
         return self._put(key, "profile",
                          {"key": key, "profile": profile.to_dict()})
 
@@ -443,8 +445,8 @@ class ResultCache:
         """Stored ``reorder`` permutation of an ``n``-row ``matrix``, or
         None on any kind of miss (a row that is not a permutation of
         ``range(n)`` is quarantined, as for results)."""
-        name, key = self._permutation_entry(matrix, reorder)
-        found = self._get(name, key, "permutation",
+        stem, key = self._permutation_entry(matrix, reorder)
+        found = self._get(stem, key, "permutation",
                           lambda values: _permutation(values, n))
         self._count(
             "cache.permutation_misses" if found is None
@@ -454,7 +456,7 @@ class ResultCache:
 
     def put_permutation(self, matrix, reorder, perm: np.ndarray) -> str:
         """Store one permutation; returns its key."""
-        _name, key = self._permutation_entry(matrix, reorder)
+        _stem, key = self._permutation_entry(matrix, reorder)
         return self._put(key, "permutation",
                          {"key": key, "permutation": perm.tolist()})
 

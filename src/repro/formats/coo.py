@@ -103,10 +103,13 @@ class COOMatrix:
     # Normalization
     # ------------------------------------------------------------------
     def deduplicate(self) -> "COOMatrix":
-        """Return a copy with duplicates summed, sorted row-major, and
-        explicit zeros removed."""
+        """The matrix with duplicates summed, sorted row-major, and
+        explicit zeros (``-0.0`` too) removed. Input that is already so
+        comes back as itself, its arrays shared rather than copied."""
         rows, cols, vals = sum_duplicates(self.rows, self.cols, self.vals, self.ncols)
         keep = vals != 0
+        if vals is self.vals and keep.all():
+            return self
         return COOMatrix(self.shape, rows[keep], cols[keep], vals[keep])
 
     def transpose(self) -> "COOMatrix":

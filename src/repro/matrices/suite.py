@@ -104,7 +104,11 @@ def suite_names() -> List[str]:
 def load_suite_matrix(name: str) -> COOMatrix:
     """The scaled analog of a Table-I matrix, built on the first call
     per name and process; later calls return that same cached
-    :class:`COOMatrix` (shared, so callers must not mutate it)."""
+    :class:`COOMatrix`. Every consumer shares its arrays, so they are
+    read-only: an in-place write raises ``ValueError``."""
     if name not in SUITE:
         raise ConfigError(f"unknown suite matrix {name!r}; available: {suite_names()}")
-    return SUITE[name].build()
+    coo = SUITE[name].build()
+    for array in (coo.rows, coo.cols, coo.vals):
+        array.flags.writeable = False
+    return coo

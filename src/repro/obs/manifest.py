@@ -22,7 +22,7 @@ import hashlib
 import json
 import subprocess
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -94,7 +94,7 @@ class RunManifest:
 
     def stable_dict(self) -> Dict[str, object]:
         """Every identity-bearing field, JSON-plain."""
-        return self._stable(asdict(self))
+        return self._stable(vars(self))
 
     @classmethod
     def _stable(cls, doc: Dict[str, object]) -> Dict[str, object]:
@@ -110,8 +110,9 @@ class RunManifest:
         return self._hash(self.stable_dict())
 
     def to_dict(self) -> Dict[str, object]:
-        """Full JSON representation (includes the digest for auditing)."""
-        doc = asdict(self)
+        """Full JSON representation: every field in order, the
+        ``faults`` dicts copied, plus the digest for auditing."""
+        doc = dict(vars(self), faults=tuple(dict(f) for f in self.faults))
         doc["digest"] = self._hash(self._stable(doc))
         return doc
 

@@ -16,7 +16,7 @@ import json
 import pytest
 
 import repro.engine.cache as cache_mod
-from repro.engine.cache import ResultCache
+from repro.engine.cache import ResultCache, _entry_name
 from repro.experiments.runner import ExperimentContext
 from repro.matrices.suite import suite_names
 from repro.preprocess import pipeline
@@ -113,7 +113,7 @@ def test_bad_row_is_quarantined_once_and_recomputed(
         tmp_path, golden, monkeypatch, damage):
     computed = ExperimentContext(cache_dir=tmp_path).prepared(MATRIX)
     store = ResultCache(tmp_path)
-    name, key = store._permutation_entry(MATRIX, "vanilla")
+    stem, key = store._permutation_entry(MATRIX, "vanilla")
     write_doc(tmp_path, key, _damaged(damage, key, computed.permutation))
 
     calls = counted_reorders(monkeypatch)
@@ -123,7 +123,7 @@ def test_bad_row_is_quarantined_once_and_recomputed(
     assert ctx.metrics.value("cache.permutation_misses") == 1
     assert ctx.metrics.value("cache.quarantined") == 1
     assert ctx.lint_health().get("diagnostics[SP604]") == 1
-    assert [p.name for p in store.quarantine_paths()] == [name]
+    assert [p.name for p in store.quarantine_paths()] == [_entry_name(stem, key)]
     # The recomputed permutation re-populated the slot: no second
     # quarantine, no second reorder.
     again = ExperimentContext(cache_dir=tmp_path)

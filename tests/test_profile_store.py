@@ -15,7 +15,7 @@ from dataclasses import fields
 import pytest
 
 import repro.engine.cache as cache_mod
-from repro.engine.cache import ResultCache
+from repro.engine.cache import ResultCache, _entry_name
 from repro.experiments.runner import ExperimentContext
 from repro.workloads.registry import workload_names
 from tests.store_rows import keys, read_doc, write_doc
@@ -83,7 +83,7 @@ def test_code_version_bump_recomputes(tmp_path, monkeypatch):
 def test_corrupt_entry_is_quarantined_and_recomputed(tmp_path, garbage):
     computed = ExperimentContext(cache_dir=tmp_path).profile("bfs", MATRIX)
     store = ResultCache(tmp_path)
-    name, key = store._profile_entry("bfs", MATRIX)
+    stem, key = store._profile_entry("bfs", MATRIX)
     write_doc(tmp_path, key, garbage)
 
     ctx = ExperimentContext(cache_dir=tmp_path)
@@ -91,7 +91,7 @@ def test_corrupt_entry_is_quarantined_and_recomputed(tmp_path, garbage):
     assert ctx.metrics.value("cache.profile_misses") == 1
     assert ctx.metrics.value("cache.quarantined") == 1
     assert ctx.lint_health().get("diagnostics[SP604]") == 1
-    assert [p.name for p in store.quarantine_paths()] == [name]
+    assert [p.name for p in store.quarantine_paths()] == [_entry_name(stem, key)]
     # The recomputed profile re-populated the slot.
     again = ExperimentContext(cache_dir=tmp_path)
     assert again.profile("bfs", MATRIX) == computed

@@ -11,6 +11,7 @@ import pytest
 
 from repro.arch.config import SparsepipeConfig
 from repro.engine import ResultCache
+from repro.engine.cache import _entry_name
 from repro.errors import InjectedFault, ReproError
 from repro.experiments.runner import ExperimentContext
 from repro.resilience import Fault, FaultPlan, activate, drain_fired
@@ -213,7 +214,10 @@ class TestCacheQuarantine:
         assert cache.get(*self.KEY) is None
         # ...quarantine the corpse (never silently re-missed forever)...
         assert keys(tmp_path) == []
-        name, _ = cache._entry(*self.KEY)
+        # The corpse's name is the entry's stem plus a hash of its key,
+        # byte for byte as seeded chaos plans hash it.
+        name = "sparsepipe-pr-gy-937a1ad46fbb34792ab24bd5.json"
+        assert _entry_name(*cache._entry(*self.KEY)) == name
         assert [p.name for p in cache.quarantine_paths()] == [name]
         assert (tmp_path / "quarantine" / name).read_text() == text
         diags = cache.pop_diagnostics()

@@ -174,7 +174,7 @@ class TestChaosStoreRead:
         ExperimentContext(cache_dir=cache_dir).simulate_many(self.POINTS)
         baseline = ExperimentContext(config=self.CONFIG).simulate_many(
             self.POINTS)
-        _name, key = ResultCache(cache_dir)._profile_entry("pr", "gy")
+        _stem, key = ResultCache(cache_dir)._profile_entry("pr", "gy")
         write_doc(cache_dir, key, "garbage{")
 
         context = ExperimentContext(cache_dir=cache_dir, config=self.CONFIG,

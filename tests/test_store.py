@@ -3,7 +3,8 @@
 Four layers of lock-in for :class:`repro.engine.cache.ResultCache`:
 
 - **Layout** — every entry, result and profile, lives in one
-  ``store.sqlite`` per directory; one key is one row.
+  ``store.sqlite`` per directory; one key is one row; one result row's
+  document text is pinned byte for byte.
 - **Damage** — a store file that is not a database is quarantined
   whole (one SP604) and the store starts empty; a store copied after
   its writer process exited serves every entry; a ``CODE_VERSION``
@@ -18,6 +19,7 @@ Four layers of lock-in for :class:`repro.engine.cache.ResultCache`:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -27,6 +29,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -36,9 +39,11 @@ import repro.engine.cache as cache_mod
 from repro.arch.config import SparsepipeConfig
 from repro.arch.simulator import SparsepipeSimulator
 from repro.arch.stats import SimResult
-from repro.engine.cache import STORE_FILE, ResultCache
+from repro.engine.cache import STORE_FILE, ResultCache, _entry_name
+from repro.errors import Diagnostic
 from repro.experiments.runner import ExperimentContext
 from repro.matrices import banded_mesh
+from repro.obs.manifest import build_manifest
 from repro.obs.metrics import MetricsRegistry
 from repro.preprocess import preprocess
 from repro.resilience.faults import Fault, FaultPlan, activate
@@ -81,6 +86,23 @@ class TestLayout:
         assert len(keys(tmp_path, "profile")) == 1
         cache.close()
         assert sorted(p.name for p in tmp_path.iterdir()) == [STORE_FILE]
+
+    def test_stored_doc_text_is_pinned(self, tmp_path, result):
+        """One result row's ``doc`` text, byte for byte: the result and
+        a manifest with a fault record, under a fixed wall time and git
+        revision (the only fields that vary between runs)."""
+        config = SparsepipeConfig(subtensor_cols=32)
+        fault = Diagnostic.warning("SP602", "retried once", "worker-1")
+        manifest = replace(build_manifest(
+            "sparsepipe", "pr", "gy", config, None, None, result=result,
+            wall_time_s=0.25, status="retried", faults=[fault.as_dict()],
+        ), git_rev="0123abc")
+        cache = ResultCache(tmp_path)
+        key = cache.put("sparsepipe", "pr", "gy", config.cache_key(), None,
+                        None, result=result, manifest=manifest)
+        text = read_doc(tmp_path, key)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "7a2868fa193ccbc06b57b1fefe79bd8ede32cc391434a736b6a6f1774f3bb057")
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +383,7 @@ class TestInjectedCorruption:
         cache = ResultCache(tmp_path, metrics=registry)
         stored = {}
         for i in range(4):
-            name, _ = cache._entry(*_key(i))
+            name = _entry_name(*cache._entry(*_key(i)))
             stored[name] = read_doc(tmp_path, cache.put(*_key(i), result=result))
         plan = FaultPlan(seed=7, faults={
             "cache.get": Fault(kind="corrupt_text", rate=1.0),
