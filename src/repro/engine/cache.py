@@ -50,7 +50,8 @@ provenance; :meth:`ResultCache.get_entry` returns it marked
 ``from_cache=True`` so served and fresh results stay distinguishable.
 
 Concurrency and durability: the file is journaled in WAL mode with
-``synchronous=NORMAL``, so every put is one atomic commit and a crash
+``synchronous=NORMAL``, so every put — one row, or a sweep's rows
+through :meth:`ResultCache.put_many` — is one atomic commit and a crash
 never tears one (nothing is fsynced per put). Two processes on one
 directory — two CLI sweeps — are serialized by SQLite's file locks,
 with a busy timeout. In a process the store holds one connection
@@ -82,6 +83,7 @@ from repro.arch.profile import WorkloadProfile
 from repro.arch.stats import SimResult
 from repro.errors import Diagnostic
 from repro.obs.manifest import RunManifest
+from repro.obs.metrics import sorted_json
 from repro.resilience.faults import maybe_corrupt_text
 
 #: Distinguishes temp files of concurrent stores in one process.
@@ -356,14 +358,16 @@ class ResultCache:
             return self._quarantine(name, key, stored, text,
                                     f"undecodable {kind}")
 
-    def _put(self, key: str, kind: str, doc: dict) -> str:
-        text = json.dumps(doc, sort_keys=True)
+    def _put(self, rows: List[Tuple[str, str, dict]]) -> List[str]:
+        """The one write path: serialize every ``(key, kind, doc)`` row,
+        then write them all in one transaction; returns their keys."""
+        rows = [(key, kind, sorted_json(doc)) for key, kind, doc in rows]
         db = self._open()
-        with self._lock:
-            db.execute(
-                "INSERT OR REPLACE INTO entries (key, kind, doc) "
-                "VALUES (?, ?, ?)", (key, kind, text))
-        return key
+        with self._lock, db:  # commits, or rolls back on an exception
+            db.execute("BEGIN")
+            db.executemany("INSERT OR REPLACE INTO entries (key, kind, doc) "
+                           "VALUES (?, ?, ?)", rows)
+        return [key for key, _kind, _text in rows]
 
     # ------------------------------------------------------------------
     # Results
@@ -409,14 +413,21 @@ class ResultCache:
         result: SimResult, manifest: Optional[RunManifest] = None,
     ) -> str:
         """Store one result (one atomic commit); returns its key."""
-        _stem, key = self._entry(
-            arch, workload, matrix, config_key, reorder, block_size
-        )
-        return self._put(key, "result", {
-            "key": key,
-            "result": result.to_dict(),
-            "manifest": None if manifest is None else manifest.to_dict(),
-        })
+        point = (arch, workload, matrix, config_key, reorder, block_size)
+        return self.put_many([(point, result, manifest)])[0]
+
+    def put_many(self, entries) -> List[str]:
+        """Store ``(point, result, manifest)`` entries, ``point`` being
+        :meth:`put`'s six key fields, in one commit; returns their keys."""
+        rows = []
+        for point, result, manifest in entries:
+            _stem, key = self._entry(*point)
+            rows.append((key, "result", {
+                "key": key,
+                "result": result.to_dict(),
+                "manifest": None if manifest is None else manifest.to_dict(),
+            }))
+        return self._put(rows)
 
     # ------------------------------------------------------------------
     # Workload profiles
@@ -435,8 +446,8 @@ class ResultCache:
     def put_profile(self, workload, matrix, profile: WorkloadProfile) -> str:
         """Store one profile; returns its key."""
         _stem, key = self._profile_entry(workload, matrix)
-        return self._put(key, "profile",
-                         {"key": key, "profile": profile.to_dict()})
+        return self._put(
+            [(key, "profile", {"key": key, "profile": profile.to_dict()})])[0]
 
     # ------------------------------------------------------------------
     # Reorder permutations
@@ -457,8 +468,8 @@ class ResultCache:
     def put_permutation(self, matrix, reorder, perm: np.ndarray) -> str:
         """Store one permutation; returns its key."""
         _stem, key = self._permutation_entry(matrix, reorder)
-        return self._put(key, "permutation",
-                         {"key": key, "permutation": perm.tolist()})
+        return self._put(
+            [(key, "permutation", {"key": key, "permutation": perm.tolist()})])[0]
 
     # ------------------------------------------------------------------
     # Maintenance

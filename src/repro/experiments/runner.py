@@ -35,7 +35,7 @@ every produced or cache-served result carries a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -333,10 +333,15 @@ class ExperimentContext:
         entry = self._disk_lookup(key)
         if entry is not None:
             return self._serve(key, entry)
-        return self._simulate_fresh(key, cfg)
+        result, wall_time_s = self._simulate_fresh(key, cfg)
+        manifest = self._record_fresh(key, result, wall_time_s)
+        if self._disk is not None:
+            self._disk.put(*key, result=result, manifest=manifest)
+        return result
 
-    def _simulate_fresh(self, key: Tuple, cfg: SparsepipeConfig) -> SimResult:
-        """Simulate one already-probed missing point and record it."""
+    def _simulate_fresh(self, key: Tuple, cfg: SparsepipeConfig) -> Tuple:
+        """Simulate one already-probed missing point, recording nothing:
+        ``(result, wall_time_s)``."""
         arch, workload_name, matrix_name, _config_key, reorder, block_size = key
         self._read_rows(key)
         profile = self.profile(workload_name, matrix_name)
@@ -344,26 +349,24 @@ class ExperimentContext:
         paper_nnz = SUITE[matrix_name].paper_nnz
         with Stopwatch() as watch:
             result = run_engine(arch, cfg, profile, prep, paper_nnz=paper_nnz)
-        self._record_fresh(key, result, wall_time_s=watch.elapsed)
-        return result
+        return result, watch.elapsed
 
-    def _record_fresh(self, key: Tuple, result: SimResult,
-                      wall_time_s: Optional[float] = None) -> None:
+    def _record_fresh(self, key: Tuple, result: SimResult, wall_time_s: float,
+                      events: Sequence[Diagnostic] = ()) -> RunManifest:
         """Account one freshly simulated result: aggregate its metrics
-        into the sweep registry, build its manifest (folding in any
-        SP6xx events the point survived), persist both."""
+        into the sweep registry and build its manifest, folding in the
+        SP6xx events the point survived (its pending quarantines, then
+        ``events``). Returns the manifest; the caller stores the row."""
         self._results[key] = result
         registry_from_result(result, registry=self.metrics)
-        events = self._pending_faults.pop(key, [])
+        events = self._pending_faults.pop(key, []) + list(events)
         retried = any(d.code in ("SP601", "SP602") for d in events)
-        manifest = build_manifest(
+        manifest = self.manifests[key] = build_manifest(
             *key, result=result, wall_time_s=wall_time_s,
             status="retried" if retried else "ok",
             faults=[d.as_dict() for d in events],
         )
-        self.manifests[key] = manifest
-        if self._disk is not None:
-            self._disk.put(*key, result=result, manifest=manifest)
+        return manifest
 
     def _record_failed(self, key: Tuple, error: str,
                        faults: Sequence[Diagnostic]) -> None:
@@ -413,8 +416,9 @@ class ExperimentContext:
         wall-clock time. Cached points (in-memory or on-disk) are never
         re-simulated. This process probes every point's result and
         reads the profile and permutation rows the missing points need;
-        then one closure over this context simulates and stores each
-        missing point — a pool worker on its forked copy.
+        then one closure over this context simulates each missing point
+        — a pool worker on its forked copy — and this process records
+        them in fan-out order and stores their rows in one transaction.
 
         The fan-out is supervised: a broken process pool (worker
         OOM-killed) degrades to in-process execution with an SP601
@@ -422,7 +426,9 @@ class ExperimentContext:
         governs per-point failures — ``"raise"`` propagates the first
         error; ``"skip"`` and ``"retry"`` (which re-attempts first)
         record a ``status="failed"`` manifest and leave ``None`` in the
-        failed point's result slot, so partial sweeps are first-class.
+        failed point's result slot, so partial sweeps are first-class;
+        under ``"raise"`` the points before the failing one are recorded
+        and stored, and none after it.
         The context's ``scheduler`` and ``max_workers`` pick the
         backend (``docs/scheduling.md``); the policy layer, fault
         semantics, and results are identical on both, and
@@ -465,38 +471,41 @@ class ExperimentContext:
                 maybe_die("parallel.worker", "/".join(point))
                 # Already probed above: simulate directly, without
                 # re-keying or a second (miss-counting) store probe.
-                key = missing[point]
-                return self._simulate_fresh(key, cfg), self.manifests[key]
+                return self._simulate_fresh(missing[point], cfg)
 
+            outcome = FanoutOutcome()
             try:
-                outcome = run_fanout(
+                run_fanout(
                     fn, missing,
                     backend=self.scheduler,
                     max_workers=self.max_workers,
                     on_error=self.on_error,
                     labels=["/".join(p) for p in missing],
                     metrics=self.metrics,
+                    outcome=outcome,
                 )
             finally:
                 # A pool worker may have filled an absent row since:
                 # later reads go to the store again.
                 self._rows = {row: v for row, v in self._rows.items()
                               if v is not None}
-            self._absorb_outcome(outcome, list(missing.values()))
+                self._absorb_outcome(outcome, list(missing.values()))
         return [self._results.get(key) for key in keys]
 
     def _absorb_outcome(
         self, outcome: FanoutOutcome, ordered_keys: List[Tuple],
     ) -> None:
         """Fold one supervised fan-out into the context: fresh results
-        with their retry records, failed points as failure manifests,
-        fan-out-wide degradations into the sweep diagnostics.
-        ``ordered_keys`` are the result keys in fan-out order."""
+        with their retry records (their rows stored in one commit),
+        failed points as failure manifests, fan-out-wide degradations
+        into the sweep diagnostics. ``ordered_keys`` are the result
+        keys in fan-out order; a ``"raise"`` fan-out ends at its failure."""
         for diag in outcome.diagnostics:
             self._count_diagnostic(diag)
             self.metrics.counter("resilience.pool_breaks").inc()
         failed = outcome.failed_indices()
-        for index, key in enumerate(ordered_keys):
+        rows = []
+        for index, (key, done) in enumerate(zip(ordered_keys, outcome.results)):
             retried = outcome.retried.get(index, [])
             for diag in retried:
                 self._count_diagnostic(diag)
@@ -508,34 +517,14 @@ class ExperimentContext:
                 self._count_diagnostic(failure.diagnostic)
                 self._record_failed(
                     key, failure.error, events + [failure.diagnostic])
-                continue
-            result, manifest = outcome.results[index]
-            if key not in self._results:
-                # A pool worker simulated and stored the point: adopt
-                # its record. Its manifest already carries the point's
-                # pending faults.
-                self._pending_faults.pop(key, None)
-                self._results[key] = result
-                self.manifests[key] = manifest
-                registry_from_result(result, registry=self.metrics)
-            if events:
-                self._amend_manifest(key, events)
-
-    def _amend_manifest(self, key: Tuple,
-                        events: Sequence[Diagnostic]) -> None:
-        """Fold fault records into an already recorded point's manifest,
-        in memory and in the store, so a warm rerun reports them too."""
-        manifest = self.manifests.get(key)
-        if manifest is None:
-            return
-        manifest = replace(
-            manifest,
-            status="retried" if manifest.status == "ok" else manifest.status,
-            faults=manifest.faults + tuple(d.as_dict() for d in events),
-        )
-        self.manifests[key] = manifest
-        if self._disk is not None:
-            self._disk.put(*key, result=self._results[key], manifest=manifest)
+            elif done is None:
+                break  # the point a "raise" fan-out stopped at
+            else:
+                result, wall_time_s = done
+                rows.append((key, result, self._record_fresh(
+                    key, result, wall_time_s, events)))
+        if rows and self._disk is not None:
+            self._disk.put_many(rows)
 
     def speedup(
         self, workload_name: str, matrix_name: str, over: str,

@@ -19,14 +19,13 @@ determinism contract the test suite locks.
 from __future__ import annotations
 
 import hashlib
-import json
 import subprocess
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.obs.metrics import MetricsRegistry, registry_from_result
+from repro.obs.metrics import MetricsRegistry, registry_from_result, sorted_json
 
 #: Manifest wire-format version; bump on incompatible field changes.
 MANIFEST_SCHEMA = 1
@@ -102,7 +101,7 @@ class RunManifest:
 
     @staticmethod
     def _hash(stable: Dict[str, object]) -> str:
-        text = json.dumps(stable, sort_keys=True)
+        text = sorted_json(stable)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def digest(self) -> str:

@@ -36,6 +36,10 @@ import numpy as np
 from repro.arch.stats import TRAFFIC_CATEGORIES, SimResult, TrafficBreakdown
 from repro.engine.instrumentation import Observer, ReplayBatch
 
+#: ``json.dumps(doc, sort_keys=True)`` through one shared encoder: the
+#: text that manifest and metrics digests hash and store rows hold.
+sorted_json = json.JSONEncoder(sort_keys=True).encode
+
 #: Default histogram bucket upper bounds (cycles), roughly exponential.
 DEFAULT_BUCKETS = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0)
 
@@ -220,7 +224,7 @@ class MetricsRegistry:
 
     def digest(self) -> str:
         """Deterministic content hash of every metric value."""
-        doc = json.dumps(self.to_dict(), sort_keys=True)
+        doc = sorted_json(self.to_dict())
         return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
 
 

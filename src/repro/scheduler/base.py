@@ -191,6 +191,7 @@ def run_fanout(
     on_error: str = "raise",
     labels: Optional[Sequence[str]] = None,
     metrics=None,
+    outcome: Optional[FanoutOutcome] = None,
 ) -> FanoutOutcome:
     """Map ``fn`` over ``items`` under the supervised failure policy
     (``"raise"`` | ``"skip"`` | ``"retry"``, which re-attempts an item
@@ -208,7 +209,10 @@ def run_fanout(
     Order-preserving and, for pure ``fn``, bit-identical to a serial
     run regardless of backend or degradation path. ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) receives the
-    ``scheduler.*`` counters when given.
+    ``scheduler.*`` counters when given. A caller-owned ``outcome`` is
+    filled in place, each result as the ordered loop confirms it, so
+    after a ``"raise"`` it holds exactly the items before the failing
+    one.
     """
     if on_error not in POLICIES:
         raise ValueError(
@@ -217,7 +221,8 @@ def run_fanout(
         backend = "localpool" if (max_workers or 1) > 1 else "inprocess"
     check_backend(backend)
     items = list(items)
-    outcome = FanoutOutcome(results=[None] * len(items))
+    outcome = outcome if outcome is not None else FanoutOutcome()
+    outcome.results = [None] * len(items)
     if not items:
         return outcome
     _count(metrics, "scheduler.submitted", len(items))

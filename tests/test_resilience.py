@@ -308,6 +308,31 @@ class TestSimulateManyPolicies:
             assert manifest.status == "retried"
             assert manifest.faults == ctx.manifest(*point).faults
 
+    @pytest.mark.parametrize("scheduler", ["inprocess", "localpool"])
+    def test_retried_point_row_is_written_once(self, tmp_path, monkeypatch,
+                                               scheduler):
+        # The row is written once, with its final "retried" manifest,
+        # by the sweeping process: never "ok" first and amended later.
+        written = []
+        real = ResultCache.put_many
+
+        def spy(cache, entries):
+            entries = list(entries)
+            written.append([cache._entry(*point)[1]
+                            for point, _result, _manifest in entries])
+            return real(cache, entries)
+
+        monkeypatch.setattr(ResultCache, "put_many", spy)
+        ctx = ExperimentContext(on_error="retry", cache_dir=tmp_path,
+                                scheduler=scheduler, max_workers=2)
+        with activate(self.PLAN):
+            ctx.simulate_many(self.POINTS)
+        assert len(written) == 1
+        assert sorted(written[0]) == keys(tmp_path)
+        for key in written[0]:
+            doc = json.loads(read_doc(tmp_path, key))
+            assert doc["manifest"]["status"] == "retried"
+
     def test_raise_policy_is_default(self):
         with activate(self.PLAN):
             with pytest.raises(InjectedFault):
@@ -330,3 +355,37 @@ class TestSimulateManyPolicies:
 
         with pytest.raises(ConfigError, match="on_error"):
             ExperimentContext(on_error="explode")
+
+
+class TestRaiseContract:
+    """Under ``on_error="raise"`` the points before the failing one are
+    recorded, in memory and in the store, and none after it — on both
+    backends."""
+
+    POINTS = [("ideal", "pr", "gy"), ("cpu", "pr", "gy"),
+              ("sparsepipe", "pr", "gy"), ("ideal", "kcore", "gy"),
+              ("cpu", "kcore", "gy")]
+    #: The third point (k = 3) fails; engine.run keys are arch/workload.
+    K = 3
+    PLAN = FaultPlan(seed=0, faults={
+        "engine.run": Fault(kind="raise", keys=("sparsepipe/pr",))})
+
+    @pytest.mark.parametrize("scheduler", ["inprocess", "localpool"])
+    def test_points_before_the_failure_are_recorded(self, tmp_path,
+                                                    scheduler):
+        before, after = self.POINTS[:self.K - 1], self.POINTS[self.K - 1:]
+        ctx = ExperimentContext(cache_dir=tmp_path, scheduler=scheduler,
+                                max_workers=2)
+        with activate(self.PLAN):
+            with pytest.raises(InjectedFault):
+                ctx.simulate_many(self.POINTS)
+        assert all(ctx.manifest(*p).status == "ok" for p in before)
+        assert all(ctx.manifest(*p) is None for p in after)
+        # Nothing after the failing point reached the store...
+        assert len(keys(tmp_path)) == len(before)
+        # ...and a fresh context serves the points before it from disk.
+        fresh = ExperimentContext(cache_dir=tmp_path)
+        assert fresh.simulate_many(before) == \
+            ExperimentContext().simulate_many(before)
+        assert fresh.metrics.value("cache.disk_hits") == len(before)
+        assert fresh.metrics.value("cache.misses") == 0

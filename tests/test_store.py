@@ -377,6 +377,65 @@ class TestConcurrencyStress:
         _assert_store_sane(cache, result)
 
 
+class TestSweepWrites:
+    """A sweep's result rows are written by the sweeping process, one
+    writer call per fan-out, whichever backend simulated them."""
+
+    POINTS = [("sparsepipe", "pr", "gy"), ("ideal", "pr", "gy"),
+              ("cpu", "kcore", "gy"), ("sparsepipe", "kcore", "gy")]
+    WIDE = replace(SparsepipeConfig(), subtensor_cols=64)
+
+    @pytest.fixture
+    def fixed_wall_time(self, monkeypatch):
+        class Fixed:
+            def __enter__(self):
+                self.elapsed = 0.25
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+        monkeypatch.setattr("repro.experiments.runner.Stopwatch", Fixed)
+
+    @staticmethod
+    def docs(root):
+        return {key: read_doc(root, key) for key in keys(root)}
+
+    def test_pooled_rows_are_written_by_the_sweeping_process(
+            self, tmp_path, monkeypatch):
+        # The spy appends to a file, so a call in a forked pool worker
+        # would show up too.
+        log = tmp_path / "writes.log"
+        real = ResultCache.put_many
+
+        def spy(cache, entries):
+            entries = list(entries)
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {len(entries)}\n")
+            return real(cache, entries)
+
+        monkeypatch.setattr(ResultCache, "put_many", spy)
+        ctx = ExperimentContext(cache_dir=tmp_path / "store",
+                                scheduler="localpool", max_workers=2)
+        ctx.simulate_many(self.POINTS)
+        ctx.simulate_many(self.POINTS, config=self.WIDE)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert calls == [[str(os.getpid()), str(len(self.POINTS))]] * 2
+        assert len(keys(tmp_path / "store")) == 2 * len(self.POINTS)
+
+    def test_pooled_docs_equal_in_process_docs(self, tmp_path,
+                                               fixed_wall_time):
+        for scheduler in ("inprocess", "localpool"):
+            ExperimentContext(
+                cache_dir=tmp_path / scheduler, scheduler=scheduler,
+                max_workers=2).simulate_many(self.POINTS)
+        serial = self.docs(tmp_path / "inprocess")
+        assert len(serial) == len(self.POINTS)
+        assert self.docs(tmp_path / "localpool") == serial
+        doc = json.loads(next(iter(serial.values())))
+        assert doc["manifest"]["wall_time_s"] == 0.25
+
+
 class TestInjectedCorruption:
     def test_read_faults_quarantine_rows(self, tmp_path, result):
         registry = MetricsRegistry()
