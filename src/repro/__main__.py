@@ -101,17 +101,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     rows = []
     for arch, result in zip(args.arch, results):
-        rows.append(
-            (arch, f"{result.seconds * 1e6:.2f}", round(result.cycles),
-             f"{result.bandwidth_utilization:.0%}",
-             f"{result.total_bytes / 1e6:.2f}")
-        )
+        # A point skipped under --on-error has no result: "-" columns.
+        rows.append((arch, "-", "-", "-", "-") if result is None else (
+            arch, f"{result.seconds * 1e6:.2f}", round(result.cycles),
+            f"{result.bandwidth_utilization:.0%}",
+            f"{result.total_bytes / 1e6:.2f}"))
     print(format_table(
         ["architecture", "time (us)", "cycles", "bw util", "DRAM (MB)"],
         rows,
         title=f"{args.workload} on {args.matrix}",
     ))
-    return 0
+    return 1 if any(r is None for r in results) else 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -386,23 +386,30 @@ def _add_diag_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_context_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
-        help="simulate on a pool of N worker processes when N > 1 "
-             "(default: serial, in this process)",
-    )
+def _add_context_flags(
+    parser: argparse.ArgumentParser, jobs: bool = True, on_error: bool = True
+) -> None:
+    """``--cache`` always; ``--jobs`` and ``--on-error`` only where the
+    command reads them (``check`` runs no pool, ``autotune`` and
+    ``check`` run no ``simulate_many`` sweep)."""
+    if jobs:
+        parser.add_argument(
+            "-j", "--jobs", type=int, default=None, metavar="N",
+            help="simulate on a pool of N worker processes when N > 1 "
+                 "(default: serial, in this process)",
+        )
     parser.add_argument(
         "--cache", default=None, metavar="DIR",
         help="persist simulation results under DIR (e.g. .repro_cache)",
     )
-    parser.add_argument(
-        "--on-error", choices=("raise", "skip", "retry"), default="raise",
-        dest="on_error",
-        help="per-point failure policy for sweeps: raise (default), "
-             "skip (record failure, continue), or retry (bounded "
-             "re-attempts, then skip); see docs/robustness.md",
-    )
+    if on_error:
+        parser.add_argument(
+            "--on-error", choices=("raise", "skip", "retry"), default="raise",
+            dest="on_error",
+            help="per-point failure policy for sweeps: raise (default), "
+                 "skip (record failure, continue), or retry (bounded "
+                 "re-attempts, then skip); see docs/robustness.md",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chk.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default: text)")
-    _add_context_flags(p_chk)
+    _add_context_flags(p_chk, jobs=False, on_error=False)
 
     p_tr = sub.add_parser(
         "trace", help="export a Chrome/Perfetto trace of one simulated run"
@@ -503,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                       dest="probe_iterations",
                       help="iterations charged per candidate probe "
                            "(default: 2)")
-    _add_context_flags(p_at)
+    _add_context_flags(p_at, on_error=False)
 
     p_sum = sub.add_parser(
         "summary", help="all Section VI headline claims, paper vs measured"

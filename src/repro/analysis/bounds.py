@@ -114,9 +114,10 @@ def traffic_bounds(
 ) -> TrafficBounds:
     """Derive the run's traffic/buffer bounds from structure alone,
     mirroring the simulator's pair/stream interleaving exactly."""
-    from repro.arch.fastpath import VECTOR_ELEMENT_BYTES
+    from repro.arch.config import VECTOR_ELEMENT_BYTES
     from repro.arch.stats import TRAFFIC_CATEGORIES
     from repro.oei.reuse import window_entry_bytes, window_peak_bytes
+    from repro.oei.schedule import oei_passes
 
     veb_f = VECTOR_ELEMENT_BYTES * profile.feature_dim
     n = float(plan.n)
@@ -131,9 +132,8 @@ def traffic_bounds(
     n_pairs = 0
     n_streams = 0
 
-    k = 0
-    while k < profile.n_iterations:
-        if profile.has_oei and k + 1 < profile.n_iterations:
+    for k, paired in oei_passes(profile.n_iterations, profile.has_oei):
+        if paired:
             act1 = profile.activity_at(k)
             act2 = profile.activity_at(k + 1)
             both = act1 + act2
@@ -148,7 +148,6 @@ def traffic_bounds(
             # csc + csr_eager together stream the matrix exactly once.
             total += msb + entry_bytes + vector + writeback
             n_pairs += 1
-            k += 2
         else:
             act = profile.activity_at(k)
             vector = veb_f * n * act * (1.0 + aux) + extra
@@ -158,7 +157,6 @@ def traffic_bounds(
             bounds["writeback"] += writeback
             total += msb + vector + writeback
             n_streams += 1
-            k += 1
 
     if n_pairs:
         peak = window_peak_bytes(plan) + capacity * config.csr_window_fraction

@@ -25,6 +25,10 @@ from repro.errors import ConfigError
 #: The paper's buffer capacity (Section V-A).
 PAPER_BUFFER_BYTES = 64 * 1024 * 1024
 
+#: DRAM bytes per vector element (64-bit values, Section VI-C), for
+#: Sparsepipe and the baselines alike.
+VECTOR_ELEMENT_BYTES = 8.0
+
 
 @dataclass(frozen=True)
 class MemoryConfig:

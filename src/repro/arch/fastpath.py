@@ -87,7 +87,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.config import SparsepipeConfig
+from repro.arch.config import VECTOR_ELEMENT_BYTES, SparsepipeConfig
 from repro.arch.dram import BankedDRAM
 from repro.arch.loaders import LoadPlan
 from repro.arch.profile import WorkloadProfile
@@ -99,10 +99,7 @@ from repro.engine.instrumentation import (
     StepTraceObserver,
 )
 from repro.errors import BufferError_
-
-#: DRAM bytes per vector element (64-bit values, Section VI-C). The
-#: reference simulator imports this constant from here — one definition.
-VECTOR_ELEMENT_BYTES = 8.0
+from repro.oei.schedule import oei_passes
 
 #: Traffic categories in the order the reference pair loop transfers them.
 _PAIR_CATEGORIES = ("csc", "csr_reload", "csr_eager", "vector", "writeback")
@@ -827,9 +824,8 @@ def run_fastpath(
     resident_carry = 0.0
     fill = np.array([run._fill])
 
-    k = 0
-    while k < profile.n_iterations:
-        if profile.has_oei and k + 1 < profile.n_iterations:
+    for k, paired in oei_passes(profile.n_iterations, profile.has_oei):
+        if paired:
             kern = run.pair(
                 profile.activity_at(k), profile.activity_at(k + 1), resident_carry
             )
@@ -849,7 +845,6 @@ def run_fastpath(
                 run.replay_pair(replay, kern, fired)
             resident_carry = kern.resident_out
             n_pairs += 1
-            k += 2
         else:
             kern = run.stream(profile.activity_at(k))
             cycle_chunks.append(kern.step_cycles)
@@ -859,7 +854,6 @@ def run_fastpath(
             compute_chunks.append(kern.compute_ops)
             if replay is not None:
                 run.replay_stream(replay, kern)
-            k += 1
 
     cycles = _fold(cycle_chunks)
     traffic = TrafficBreakdown()
@@ -877,30 +871,45 @@ def run_fastpath(
         if peak_values:
             peak = max(0.0, float(np.max(np.concatenate(peak_values))))
 
-    samples = []
-    if instr is not None:
-        trace_obs = instr.find(StepTraceObserver)
-        if trace_obs is not None:
-            samples = trace_obs.samples(config.bytes_per_cycle)
+    return sparsepipe_result(
+        config, profile, instr, capacity, cycles=cycles, traffic=traffic,
+        compute_ops=compute_ops, is_ops=is_ops, buffer_peak_bytes=peak,
+        oom_evicted_bytes=evicted, repack_events=repack_events,
+    )
 
-    seconds = config.seconds(cycles)
+
+def sparsepipe_result(
+    config: SparsepipeConfig, profile: WorkloadProfile,
+    instr: Optional[Instrumentation], capacity: float, *,
+    cycles: float, traffic: TrafficBreakdown, compute_ops: float,
+    is_ops: float, buffer_peak_bytes: float, oom_evicted_bytes: float,
+    repack_events: int,
+) -> SimResult:
+    """The one :class:`SimResult` assembly of both Sparsepipe backends.
+    Fig 15's bandwidth samples come from a :class:`StepTraceObserver`
+    registered on ``instr``; without one they stay empty."""
+    trace_obs = instr.find(StepTraceObserver) if instr is not None else None
     total_bytes = traffic.total_bytes
     deliverable = cycles * config.bytes_per_cycle
-    scatter_updates = is_ops * 2 * VECTOR_ELEMENT_BYTES
     return SimResult(
         name=profile.name,
         cycles=cycles,
-        seconds=seconds,
+        seconds=config.seconds(cycles),
         traffic=traffic,
         bandwidth_utilization=(
             min(1.0, total_bytes / deliverable) if deliverable else 0.0
         ),
-        bandwidth_samples=samples,
+        bandwidth_samples=(
+            trace_obs.samples(config.bytes_per_cycle)
+            if trace_obs is not None else []
+        ),
         compute_ops=compute_ops,
-        buffer_peak_bytes=peak,
-        oom_evicted_bytes=evicted,
+        buffer_peak_bytes=buffer_peak_bytes,
+        oom_evicted_bytes=oom_evicted_bytes,
         repack_events=repack_events,
         n_iterations=profile.n_iterations,
-        sram_access_bytes=2.0 * total_bytes + scatter_updates,
+        sram_access_bytes=(
+            2.0 * total_bytes + is_ops * 2 * VECTOR_ELEMENT_BYTES
+        ),
         extra={"buffer_capacity_bytes": float(capacity)},
     )

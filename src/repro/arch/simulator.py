@@ -15,12 +15,14 @@ step / transfer / evict / repack / prefetch event stream
 record per step and hands each pair or stream to the observers as a
 :class:`~repro.engine.instrumentation.ReplayBatch`, the same form the
 vectorized backend synthesizes; it builds no record when no observer
-is attached.  The default (``observers=None``)
-registers one :class:`~repro.engine.instrumentation.StepTraceObserver`
-so the returned :class:`SimResult` carries Fig 15's bandwidth samples
-exactly as before; pass ``observers=()`` for the zero-observer fast
-path (no per-step recording, ``bandwidth_samples=[]``) when only the
-aggregate numbers matter — sweeps and autotuning, for instance.
+is attached.  ``observers=None`` registers one
+:class:`~repro.engine.instrumentation.StepTraceObserver`, so the
+returned :class:`SimResult` carries Fig 15's bandwidth samples;
+``observers=()`` is the zero-observer fast path (no per-step
+recording, ``bandwidth_samples=[]``).  :func:`~repro.engine.registry.
+run_engine` asks for ``()`` whenever its caller names no observers, on
+either backend, so sweeps store the same result whichever backend
+served the point.
 
 The observability layer (:mod:`repro.obs`) builds on the same stream:
 a :class:`~repro.obs.timeline.TimelineObserver` exports the run as a
@@ -36,11 +38,12 @@ from typing import Optional, Sequence, Union
 from repro.arch.buffer import OnChipBuffer
 from repro.arch.config import (
     PAPER_BUFFER_BYTES,
+    VECTOR_ELEMENT_BYTES,
     SparsepipeConfig,
     scaled_buffer_bytes,
 )
 from repro.arch.cores import ComputePipeline
-from repro.arch.fastpath import VECTOR_ELEMENT_BYTES, burst_hints, run_fastpath
+from repro.arch.fastpath import burst_hints, run_fastpath, sparsepipe_result
 from repro.arch.loaders import EagerPrefetcher, LoadPlan
 from repro.arch.memory import MemoryController
 from repro.arch.profile import WorkloadProfile
@@ -53,6 +56,7 @@ from repro.engine.instrumentation import (
     StepTraceObserver,
 )
 from repro.formats.coo import COOMatrix
+from repro.oei.schedule import oei_passes
 from repro.preprocess.pipeline import PreprocessResult
 
 
@@ -64,16 +68,6 @@ class SparsepipeSimulator:
         #: Which execution backend served the last ``run`` — the bench
         #: and CI assert observed runs never silently downgrade.
         self.last_backend: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    # Engine protocol
-    # ------------------------------------------------------------------
-    def prepare(
-        self, profile: WorkloadProfile, matrix: Union[COOMatrix, PreprocessResult]
-    ) -> LoadPlan:
-        """Structure-derived load plan for this config's sub-tensor
-        width (the Engine protocol's warm-up hook)."""
-        return LoadPlan.from_matrix(matrix, self.config.subtensor_cols)
 
     def run(
         self,
@@ -91,7 +85,7 @@ class SparsepipeSimulator:
         instrumentation entirely (fast path, no bandwidth samples).
         """
         config = self.config
-        plan = self.prepare(profile, matrix)
+        plan = LoadPlan.from_matrix(matrix, config.subtensor_cols)
         if config.buffer_bytes is not None:
             capacity = config.buffer_bytes
         elif paper_nnz is not None:
@@ -114,9 +108,7 @@ class SparsepipeSimulator:
             return run_fastpath(config, plan, profile, capacity, instr=instr)
         self.last_backend = "reference"
 
-        memory = MemoryController(
-            config, burst_hints=self._burst_hints(plan, profile)
-        )
+        memory = MemoryController(config, burst_hints=burst_hints(plan, profile))
         cores = ComputePipeline(config)
         buffer = OnChipBuffer(
             capacity_bytes=capacity,
@@ -126,45 +118,19 @@ class SparsepipeSimulator:
         )
         state = _RunState()
 
-        k = 0
-        while k < profile.n_iterations:
-            if profile.has_oei and k + 1 < profile.n_iterations:
+        for k, paired in oei_passes(profile.n_iterations, profile.has_oei):
+            if paired:
                 self._simulate_pair(plan, profile, k, memory, cores, buffer, instr, state)
-                k += 2
             else:
                 self._simulate_stream(plan, profile, k, memory, cores, instr, state)
-                k += 1
 
-        cycles = state.cycles
-        seconds = config.seconds(cycles)
-        total_bytes = memory.traffic.total_bytes
-        deliverable = cycles * config.bytes_per_cycle
-        scatter_updates = state.is_ops * 2 * VECTOR_ELEMENT_BYTES
-        trace_obs = instr.find(StepTraceObserver)
-        samples = (
-            trace_obs.samples(config.bytes_per_cycle) if trace_obs is not None else []
-        )
-        return SimResult(
-            name=profile.name,
-            cycles=cycles,
-            seconds=seconds,
-            traffic=memory.traffic,
-            bandwidth_utilization=min(1.0, total_bytes / deliverable) if deliverable else 0.0,
-            bandwidth_samples=samples,
-            compute_ops=state.compute_ops,
-            buffer_peak_bytes=buffer.peak_bytes,
+        return sparsepipe_result(
+            config, profile, instr, capacity, cycles=state.cycles,
+            traffic=memory.traffic, compute_ops=state.compute_ops,
+            is_ops=state.is_ops, buffer_peak_bytes=buffer.peak_bytes,
             oom_evicted_bytes=buffer.evicted_bytes,
             repack_events=buffer.repack_events,
-            n_iterations=profile.n_iterations,
-            sram_access_bytes=2.0 * total_bytes + scatter_updates,
-            extra={"buffer_capacity_bytes": float(buffer.capacity_bytes)},
         )
-
-    @staticmethod
-    def _burst_hints(plan: LoadPlan, profile: WorkloadProfile) -> dict:
-        """Average DRAM burst sizes per traffic category (banked DRAM
-        model only); one definition shared with the fastpath."""
-        return burst_hints(plan, profile)
 
     # ------------------------------------------------------------------
     # OEI pair (iterations k and k+1 fused)

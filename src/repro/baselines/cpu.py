@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.arch.config import CPU_DDR4, MemoryConfig
-from repro.arch.loaders import LoadPlan
 from repro.arch.profile import WorkloadProfile
-from repro.arch.stats import SimResult, TrafficBreakdown
-from repro.baselines.roofline import fused_vector_bytes, iteration_ops
+from repro.arch.stats import SimResult
+from repro.baselines.roofline import framework_run, fused_vector_bytes
 from repro.formats.coo import COOMatrix
 from repro.preprocess.pipeline import PreprocessResult
 
@@ -50,64 +49,14 @@ class CPUModel:
     #: for small matrices without eliminating it.
     cache_hit_rate: float = 0.6
 
-    def prepare(
-        self, profile: WorkloadProfile, matrix: Union[COOMatrix, PreprocessResult]
-    ) -> LoadPlan:
-        return LoadPlan.from_matrix(matrix, subtensor_cols=128)
-
     def run(
         self,
         profile: WorkloadProfile,
         matrix: Union[COOMatrix, PreprocessResult],
         paper_nnz: int = None,
     ) -> SimResult:
-        plan = self.prepare(profile, matrix)
-        llc = self.llc_bytes
-        overhead = self.operator_overhead_s
-        if paper_nnz is not None:
-            # Scale capacity *and* fixed time overheads by the same
-            # per-matrix factor as the matrices themselves (DESIGN.md),
-            # so the overhead-to-work ratio matches the paper's runs.
-            scale = plan.total_nnz / paper_nnz
-            llc = self.llc_bytes * scale
-            overhead = self.operator_overhead_s * scale
-        # CSR-only storage on CPU: a single orientation.
-        matrix_bytes = plan.matrix_stream_bytes
-        fits_in_cache = matrix_bytes <= llc
-
-        achieved_bw = self.memory.bandwidth_gbps * 1e9 * self.bandwidth_utilization
-        n_operators = 1 + profile.total_ewise_ops
-
-        traffic = TrafficBreakdown()
-        seconds = 0.0
-        ops_total = 0.0
-        for k in range(profile.n_iterations):
-            if k == 0 or not fits_in_cache:
-                stream = matrix_bytes
-            else:
-                stream = matrix_bytes * (1.0 - self.cache_hit_rate)
-            vector_bytes = fused_vector_bytes(plan.n, profile, k)
-            ops = iteration_ops(plan.total_nnz, plan.n, profile, k)
-            mem_s = (stream + vector_bytes) / achieved_bw
-            compute_s = ops / (self.effective_gops * 1e9)
-            seconds += max(mem_s, compute_s) + n_operators * overhead
-            ops_total += ops
-            traffic.add("csc", stream)
-            traffic.add("vector", vector_bytes)
-
-        total = traffic.total_bytes
-        deliverable = seconds * self.memory.bandwidth_gbps * 1e9
-        return SimResult(
-            name=f"cpu:{profile.name}",
-            cycles=seconds * 1e9,  # nominal 1 GHz accounting cycles
-            seconds=seconds,
-            traffic=traffic,
-            bandwidth_utilization=min(1.0, total / deliverable) if deliverable else 0.0,
-            bandwidth_samples=[],
-            compute_ops=ops_total,
-            buffer_peak_bytes=min(matrix_bytes, llc),
-            oom_evicted_bytes=0.0,
-            repack_events=0,
-            n_iterations=profile.n_iterations,
-            sram_access_bytes=2.0 * total,
+        return framework_run(
+            self, "cpu", profile, matrix, paper_nnz,
+            cache_bytes=self.llc_bytes, overhead_s=self.operator_overhead_s,
+            vector_bytes=fused_vector_bytes,
         )

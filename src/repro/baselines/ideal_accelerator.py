@@ -18,6 +18,7 @@ from repro.arch.stats import SimResult, TrafficBreakdown
 from repro.baselines.roofline import (
     iteration_compute_cycles,
     iteration_ops,
+    roofline_result,
     unfused_vector_bytes,
 )
 from repro.formats.coo import COOMatrix
@@ -30,11 +31,6 @@ class IdealAccelerator:
     def __init__(self, config: SparsepipeConfig = SparsepipeConfig()) -> None:
         self.config = config
 
-    def prepare(
-        self, profile: WorkloadProfile, matrix: Union[COOMatrix, PreprocessResult]
-    ) -> LoadPlan:
-        return LoadPlan.from_matrix(matrix, self.config.subtensor_cols)
-
     def run(
         self,
         profile: WorkloadProfile,
@@ -44,7 +40,7 @@ class IdealAccelerator:
         """``paper_nnz`` is accepted for interface parity and ignored —
         this baseline is buffer-size-independent by construction."""
         config = self.config
-        plan = self.prepare(profile, matrix)
+        plan = LoadPlan.from_matrix(matrix, config.subtensor_cols)
         bpc = config.bytes_per_cycle
         pes = config.pes_per_core
 
@@ -64,20 +60,7 @@ class IdealAccelerator:
             traffic.add("csc", matrix_bytes)
             traffic.add("vector", vector_bytes)
 
-        seconds = config.seconds(cycles)
-        total = traffic.total_bytes
-        deliverable = cycles * bpc
-        return SimResult(
-            name=f"ideal:{profile.name}",
-            cycles=cycles,
-            seconds=seconds,
-            traffic=traffic,
-            bandwidth_utilization=min(1.0, total / deliverable) if deliverable else 0.0,
-            bandwidth_samples=[],
-            compute_ops=ops_total,
-            buffer_peak_bytes=0.0,
-            oom_evicted_bytes=0.0,
-            repack_events=0,
-            n_iterations=profile.n_iterations,
-            sram_access_bytes=2.0 * total,
+        return roofline_result(
+            "ideal", profile, cycles=cycles, seconds=config.seconds(cycles),
+            deliverable=cycles * bpc, traffic=traffic, compute_ops=ops_total,
         )

@@ -18,12 +18,12 @@ from repro.arch.loaders import LoadPlan
 from repro.arch.profile import WorkloadProfile
 from repro.arch.stats import SimResult, TrafficBreakdown
 from repro.baselines.roofline import (
-    fused_vector_bytes,
     iteration_compute_cycles,
-    iteration_ops,
-    pair_vector_bytes,
+    oei_pass_cost,
+    roofline_result,
 )
 from repro.formats.coo import COOMatrix
+from repro.oei.schedule import oei_passes
 from repro.preprocess.pipeline import PreprocessResult
 
 
@@ -33,11 +33,6 @@ class OracleAccelerator:
     def __init__(self, config: SparsepipeConfig = SparsepipeConfig()) -> None:
         self.config = config
 
-    def prepare(
-        self, profile: WorkloadProfile, matrix: Union[COOMatrix, PreprocessResult]
-    ) -> LoadPlan:
-        return LoadPlan.from_matrix(matrix, self.config.subtensor_cols)
-
     def run(
         self,
         profile: WorkloadProfile,
@@ -45,53 +40,28 @@ class OracleAccelerator:
         paper_nnz: int = None,
     ) -> SimResult:
         config = self.config
-        plan = self.prepare(profile, matrix)
+        plan = LoadPlan.from_matrix(matrix, config.subtensor_cols)
         bpc = config.bytes_per_cycle
         pes = config.pes_per_core
 
         traffic = TrafficBreakdown()
         cycles = 0.0
         ops_total = 0.0
-        k = 0
-        while k < profile.n_iterations:
-            if profile.has_oei and k + 1 < profile.n_iterations:
-                vector_bytes = pair_vector_bytes(plan.n, profile, k)
-                ops = iteration_ops(plan.total_nnz, plan.n, profile, k)
-                ops += iteration_ops(plan.total_nnz, plan.n, profile, k + 1)
-                compute = iteration_compute_cycles(
-                    plan.total_nnz, plan.n, profile, k, pes
-                ) + iteration_compute_cycles(
+        for k, paired in oei_passes(profile.n_iterations, profile.has_oei):
+            vector_bytes, ops = oei_pass_cost(plan, profile, k, paired)
+            compute = iteration_compute_cycles(plan.total_nnz, plan.n, profile, k, pes)
+            if paired:
+                compute += iteration_compute_cycles(
                     plan.total_nnz, plan.n, profile, k + 1, pes
                 )
-                step = 2
-            else:
-                vector_bytes = fused_vector_bytes(plan.n, profile, k)
-                ops = iteration_ops(plan.total_nnz, plan.n, profile, k)
-                compute = iteration_compute_cycles(
-                    plan.total_nnz, plan.n, profile, k, pes
-                )
-                step = 1
             mem_bytes = plan.matrix_stream_bytes + vector_bytes
             cycles += max(mem_bytes / bpc, compute)
             ops_total += ops
             traffic.add("csc", plan.matrix_stream_bytes)
             traffic.add("vector", vector_bytes)
-            k += step
 
-        seconds = config.seconds(cycles)
-        total = traffic.total_bytes
-        deliverable = cycles * bpc
-        return SimResult(
-            name=f"oracle:{profile.name}",
-            cycles=cycles,
-            seconds=seconds,
-            traffic=traffic,
-            bandwidth_utilization=min(1.0, total / deliverable) if deliverable else 0.0,
-            bandwidth_samples=[],
-            compute_ops=ops_total,
+        return roofline_result(
+            "oracle", profile, cycles=cycles, seconds=config.seconds(cycles),
+            deliverable=cycles * bpc, traffic=traffic, compute_ops=ops_total,
             buffer_peak_bytes=float(plan.matrix_stream_bytes),
-            oom_evicted_bytes=0.0,
-            repack_events=0,
-            n_iterations=profile.n_iterations,
-            sram_access_bytes=2.0 * total,
         )

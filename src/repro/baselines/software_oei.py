@@ -33,12 +33,9 @@ from repro.arch.config import CPU_DDR4, MemoryConfig
 from repro.arch.loaders import LoadPlan
 from repro.arch.profile import WorkloadProfile
 from repro.arch.stats import SimResult, TrafficBreakdown
-from repro.baselines.roofline import (
-    fused_vector_bytes,
-    iteration_ops,
-    pair_vector_bytes,
-)
+from repro.baselines.roofline import oei_pass_cost, roofline_result
 from repro.formats.coo import COOMatrix
+from repro.oei.schedule import oei_passes
 from repro.preprocess.pipeline import PreprocessResult
 
 
@@ -57,18 +54,13 @@ class SoftwareOEIModel:
     sync_overhead_s: float = 1.5e-6
     subtensor_cols: int = 128
 
-    def prepare(
-        self, profile: WorkloadProfile, matrix: Union[COOMatrix, PreprocessResult]
-    ) -> LoadPlan:
-        return LoadPlan.from_matrix(matrix, self.subtensor_cols)
-
     def run(
         self,
         profile: WorkloadProfile,
         matrix: Union[COOMatrix, PreprocessResult],
         paper_nnz: int = None,
     ) -> SimResult:
-        plan = self.prepare(profile, matrix)
+        plan = LoadPlan.from_matrix(matrix, self.subtensor_cols)
         sync = self.sync_overhead_s
         if paper_nnz is not None:
             sync = self.sync_overhead_s * plan.total_nnz / paper_nnz
@@ -79,45 +71,22 @@ class SoftwareOEIModel:
         traffic = TrafficBreakdown()
         seconds = 0.0
         ops_total = 0.0
-        k = 0
-        while k < profile.n_iterations:
-            paired = profile.has_oei and k + 1 < profile.n_iterations
+        matrix_bytes = plan.matrix_stream_bytes
+        for k, paired in oei_passes(profile.n_iterations, profile.has_oei):
+            vector_bytes, ops = oei_pass_cost(plan, profile, k, paired)
             if paired:
-                matrix_bytes = plan.matrix_stream_bytes
-                vector_bytes = pair_vector_bytes(plan.n, profile, k)
-                ops = iteration_ops(plan.total_nnz, plan.n, profile, k)
-                ops += iteration_ops(plan.total_nnz, plan.n, profile, k + 1)
                 # Every element passes through the software window once.
                 ops += plan.total_nnz * self.buffer_mgmt_ops_per_element
-                steps = plan.n_steps
-                step = 2
-            else:
-                matrix_bytes = plan.matrix_stream_bytes
-                vector_bytes = fused_vector_bytes(plan.n, profile, k)
-                ops = iteration_ops(plan.total_nnz, plan.n, profile, k)
-                steps = plan.n_subtensors
-                step = 1
+            steps = plan.n_steps if paired else plan.n_subtensors
             mem_s = (matrix_bytes + vector_bytes) / achieved_bw
             compute_s = ops / gops
             seconds += max(mem_s, compute_s) + steps * sync
             ops_total += ops
             traffic.add("csc", matrix_bytes)
             traffic.add("vector", vector_bytes)
-            k += step
 
-        total = traffic.total_bytes
-        deliverable = seconds * self.memory.bandwidth_gbps * 1e9
-        return SimResult(
-            name=f"software-oei:{profile.name}",
-            cycles=seconds * 1e9,
-            seconds=seconds,
-            traffic=traffic,
-            bandwidth_utilization=min(1.0, total / deliverable) if deliverable else 0.0,
-            bandwidth_samples=[],
-            compute_ops=ops_total,
-            buffer_peak_bytes=0.0,
-            oom_evicted_bytes=0.0,
-            repack_events=0,
-            n_iterations=profile.n_iterations,
-            sram_access_bytes=2.0 * total,
+        return roofline_result(
+            "software-oei", profile, cycles=seconds * 1e9, seconds=seconds,
+            deliverable=seconds * self.memory.bandwidth_gbps * 1e9,
+            traffic=traffic, compute_ops=ops_total,
         )

@@ -9,10 +9,10 @@ runner.ExperimentContext`, the CLI, :mod:`repro.arch.sweep`,
 :func:`create_engine` instead of hard-coding an ``if/elif`` chain per
 model, so adding a backend is one table row, not five call-site edits.
 
-Every engine satisfies the :class:`Engine` protocol::
+Every engine satisfies the :class:`Engine` protocol, which is ``run``
+alone; each engine derives its load plan from the matrix inside it::
 
     engine = create_engine("sparsepipe", config)
-    engine.prepare(profile, matrix)          # optional warm-up hook
     result = engine.run(profile, matrix, paper_nnz=...)
 """
 
@@ -32,17 +32,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Engine(Protocol):
-    """What every architecture model must provide.
-
-    ``prepare`` derives the structure-dependent load plan from a
-    (preprocessed) matrix — the part a caller may want to do once and
-    inspect; ``run`` times the workload over it and returns a
+    """What every architecture model must provide: ``run`` times the
+    workload over a (preprocessed) matrix and returns a
     :class:`~repro.arch.stats.SimResult`. ``paper_nnz`` enables the
     per-matrix capacity/overhead scaling of DESIGN.md.
     """
-
-    def prepare(self, profile, matrix):
-        ...  # pragma: no cover
 
     def run(self, profile, matrix, paper_nnz=None) -> "SimResult":
         ...  # pragma: no cover
@@ -127,15 +121,6 @@ def create_engine(name: str, config: Optional["SparsepipeConfig"] = None) -> Eng
 _OBSERVERS_UNSET = object()
 
 
-def _default_backend() -> str:
-    """The documented backend default — read from ``SparsepipeConfig``
-    itself so the config stays the single source of truth (lazy import:
-    the registry must not import arch modules at module scope)."""
-    from repro.arch.config import SparsepipeConfig
-
-    return SparsepipeConfig.backend
-
-
 def run_engine(
     name: str,
     config: Optional["SparsepipeConfig"],
@@ -144,45 +129,35 @@ def run_engine(
     paper_nnz: Optional[int] = None,
     observers=_OBSERVERS_UNSET,
 ) -> "SimResult":
-    """Run one architecture on one point — the *only* backend-selection
-    point, observed or not.
+    """Run one architecture on one point, observed or not.
 
     Every caller routes through here (sweeps, the trace CLI,
     ``capture_run``, the fig drivers), so the ``engine.run`` chaos site
-    covers observed and unobserved runs alike, and backend selection is
-    never made twice. With ``observers`` given, the request is forwarded
-    to the engine verbatim — the vectorized backend synthesizes the
-    event stream post-hoc at full speed, so observers never force a
-    downgrade; asking a non-observable architecture for observers raises
-    SP907 instead of being silently ignored. Without ``observers``,
-    observable engines on the vectorized backend run with ``observers=()``
-    (the zero-observer contract — ``bandwidth_samples=[]``) and
-    everything else takes the engine's plain ``run``. The backend
-    default comes from ``SparsepipeConfig`` — config objects missing the
-    attribute inherit the documented ``"vectorized"`` default, never a
-    silent reference-loop pin.
+    covers observed and unobserved runs alike. With ``observers`` given,
+    the request is forwarded to the engine verbatim — the vectorized
+    backend synthesizes the event stream post-hoc at full speed, so
+    observers never force a downgrade; asking a non-observable
+    architecture for observers raises SP907 instead of being silently
+    ignored. Without ``observers``, every observable engine runs with
+    ``observers=()`` whatever its backend (the zero-observer contract —
+    ``bandwidth_samples=[]``), so both backends store the same result
+    for a point; the other engines take their plain ``run``. Fig 15
+    passes ``observers=None`` to get its bandwidth samples.
     """
     spec = get_arch(name)
     # Chaos-test site: lets the fault-injection harness prove the
     # sweep-level retry path without a purpose-built flaky engine.
     maybe_raise("engine.run", f"{name}/{getattr(profile, 'name', '?')}")
     engine = spec.create(config)
-    cfg = config if config is not None else getattr(engine, "config", None)
-    if observers is not _OBSERVERS_UNSET:
+    if observers is _OBSERVERS_UNSET:
         if not spec.observable:
-            raise ConfigError(
-                f"[SP907] architecture {name!r} is not observable: it has "
-                "no event stream to honor an observers= request with "
-                f"(observable architectures: "
-                f"{tuple(n for n in arch_names() if get_arch(n).observable)})"
-            )
-        return engine.run(
-            profile, matrix, paper_nnz=paper_nnz, observers=observers
+            return engine.run(profile, matrix, paper_nnz=paper_nnz)
+        observers = ()
+    elif not spec.observable:
+        raise ConfigError(
+            f"[SP907] architecture {name!r} is not observable: it has "
+            "no event stream to honor an observers= request with "
+            f"(observable architectures: "
+            f"{tuple(n for n in arch_names() if get_arch(n).observable)})"
         )
-    if (
-        spec.observable
-        and cfg is not None
-        and getattr(cfg, "backend", _default_backend()) == "vectorized"
-    ):
-        return engine.run(profile, matrix, paper_nnz=paper_nnz, observers=())
-    return engine.run(profile, matrix, paper_nnz=paper_nnz)
+    return engine.run(profile, matrix, paper_nnz=paper_nnz, observers=observers)

@@ -31,7 +31,7 @@ from repro.dataflow.program import OEIProgram
 from repro.errors import ScheduleError
 from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
-from repro.oei.schedule import OEISchedule
+from repro.oei.schedule import OEISchedule, oei_passes
 from repro.semiring import kernels
 
 AuxProvider = Callable[[int, np.ndarray], Mapping[str, np.ndarray]]
@@ -134,21 +134,18 @@ def run_oei_pairs(
     x = np.asarray(x0, dtype=np.float64).copy()
     trace = OEIExecution(x_history=[x.copy()])
 
-    iteration = 0
-    while iteration < n_iterations:
-        if iteration + 1 < n_iterations:
+    for iteration, paired in oei_passes(n_iterations, fused=True):
+        if paired:
             x = _run_pair(
                 csc, csr, program, semiring, schedule, x, iteration,
                 aux_provider, scalar_update, trace, kernel,
             )
-            iteration += 2
         else:
             # Odd tail: OS + e-wise only, still streamed per sub-tensor.
             x = _run_os_only(
                 csc, program, semiring, schedule, x, iteration,
                 aux_provider, scalar_update, trace, kernel,
             )
-            iteration += 1
     return trace
 
 

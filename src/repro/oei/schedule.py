@@ -10,18 +10,34 @@ columns through one pipeline stage. Within a fused iteration pair,
   (it needs the e-wise output of step ``s + 1``).
 
 So a pair over ``S`` sub-tensors drains after ``S + 2`` steps.
+
+Across iterations, :func:`oei_passes` is the one pass schedule every
+timing model and the functional executor walk (Sections III-IV): a
+program with an OEI path fuses iterations ``k`` and ``k + 1`` into one
+pass, and an odd last iteration streams alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import ConfigError, Diagnostic
 
 #: Stage skews relative to the OS stage, in steps (Fig 8).
 EWISE_LAG = 1
 IS_LAG = 2
+
+
+def oei_passes(n_iterations: int, fused: bool) -> Iterator[Tuple[int, bool]]:
+    """Yield ``(k, paired)`` for each pass over the matrix: ``paired``
+    passes fuse iterations ``k`` and ``k + 1``; the rest stream
+    iteration ``k`` alone (every pass when not ``fused``)."""
+    k = 0
+    while k < n_iterations:
+        paired = fused and k + 1 < n_iterations
+        yield k, paired
+        k += 2 if paired else 1
 
 
 @dataclass(frozen=True)

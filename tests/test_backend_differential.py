@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,14 +87,10 @@ class TestFullArchitectureGrid:
         ref_ctx, vec_ctx = contexts
         ref = ref_ctx.simulate(arch, workload, "gy")
         vec = vec_ctx.simulate(arch, workload, "gy")
-        # The reference context keeps the default step-trace observer
-        # (its samples are instrumentation, not model state — PR-3
-        # contract: observers=() <=> bandwidth_samples=[]); every model
-        # quantity must match bit for bit.
-        assert replace(ref, bandwidth_samples=[]) == vec
-        ref_doc, vec_doc = ref.to_dict(), vec.to_dict()
-        ref_doc.pop("bandwidth_samples"), vec_doc.pop("bandwidth_samples")
-        assert ref_doc == vec_doc
+        # Both contexts run unobserved points with observers=(), so the
+        # whole result must match bit for bit.
+        assert ref == vec
+        assert ref.to_dict() == vec.to_dict()
 
     def test_metrics_registry_exact(self, contexts):
         ref_ctx, vec_ctx = contexts

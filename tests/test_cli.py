@@ -59,6 +59,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ideal" in out and "oracle" not in out
 
+    def test_simulate_skipped_point_prints_dashes_and_fails(self, capsys):
+        argv = ["simulate", "-w", "pr", "-m", "nosuch", "-a", "ideal", "cpu",
+                "--on-error", "skip"]
+        assert main(argv) == 1
+        rows = capsys.readouterr().out.splitlines()[-2:]
+        assert [row.split() for row in rows] == [
+            ["ideal", "-", "-", "-", "-"], ["cpu", "-", "-", "-", "-"]]
+
     def test_list_includes_software_oei(self, capsys):
         assert main(["list"]) == 0
         assert "software_oei" in capsys.readouterr().out
@@ -224,6 +232,18 @@ class TestCheckCommand:
         args = build_parser().parse_args(["check"])
         assert args.workloads == [] and args.matrix == "gy"
         assert args.backend == "both" and args.format == "text"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--jobs", "2"],
+        ["check", "--on-error", "skip"],
+        ["autotune", "-w", "pr", "-m", "gy", "--on-error", "skip"],
+    ])
+    def test_unread_context_flags_are_rejected(self, argv):
+        """``check`` runs no pool and neither command a per-point sweep,
+        so they do not take ``--jobs`` / ``--on-error``."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     def test_check_single_point(self, capsys):
         assert main(["check", "pr", "--backend", "vectorized"]) == 0

@@ -86,11 +86,10 @@ class TestRegistry:
         engine = create_engine("sparsepipe")
         assert engine.config == SparsepipeConfig()
 
-    def test_every_builtin_prepares_and_runs(self, prep):
+    def test_every_builtin_runs(self, prep):
         profile = make_profile(n_iterations=2)
         for name in BUILTINS:
             engine = create_engine(name)
-            assert engine.prepare(profile, prep) is not None
             result = engine.run(profile, prep)
             assert result.cycles > 0, name
 
@@ -125,7 +124,8 @@ class TestArchTable:
     def test_every_row_resolves_to_an_engine(self):
         for name in arch_names():
             cls = get_arch(name).cls
-            assert callable(getattr(cls, "prepare", None)), name
+            # The Engine protocol is ``run`` alone.
+            assert not hasattr(cls, "prepare"), name
             assert callable(getattr(cls, "run", None)), name
 
     def test_each_class_resolves_once(self):

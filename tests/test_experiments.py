@@ -3,7 +3,6 @@ subset — fast enough for the unit suite, exercising every figure's
 logic end to end."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -239,21 +238,18 @@ class TestSummary:
 
     def test_reference_backend_matches_every_sparsepipe_digest(
             self, full_context):
-        """All 99 ``sparsepipe`` points on the reference simulator. It
-        keeps the default step-trace observer, whose samples are
-        instrumentation, not model state (``observers=()`` <=> no
-        ``bandwidth_samples``), so each result is digested without them."""
+        """All 99 ``sparsepipe`` points on the reference simulator, each
+        whole result digested: an unobserved point runs with
+        ``observers=()`` on either backend."""
         expected = json.loads(EXPECTED.read_text(encoding="utf-8"))["grid"]
         points = [("sparsepipe", w, m)
                   for w in workload_names() for m in suite_names()]
         results = full_context.simulate_many(
             points, config=SparsepipeConfig(backend="reference"))
         assert len(points) == 99
-        assert all(r.bandwidth_samples for r in results)
         mismatched = [
             "/".join(p) for p, r in zip(points, results)
-            if digest(replace(r, bandwidth_samples=[]).to_dict())
-            != expected["/".join(p)]
+            if digest(r.to_dict()) != expected["/".join(p)]
         ]
         assert mismatched == []
 

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.analysis.bounds import traffic_bounds
+from repro.arch.config import SparsepipeConfig
+from repro.arch.loaders import LoadPlan
+from repro.arch.profile import WorkloadProfile
+from repro.matrices import banded_mesh
 from repro.oei import OEISchedule
-from repro.oei.schedule import EWISE_LAG, IS_LAG
+from repro.oei.schedule import EWISE_LAG, IS_LAG, oei_passes
 
 
 class TestSchedule:
@@ -54,3 +59,38 @@ class TestSchedule:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             OEISchedule(10, 0)
+
+
+class TestOEIPasses:
+    """The one iteration pass schedule every timing model walks."""
+
+    FUSED = {
+        0: [],
+        1: [(0, False)],
+        2: [(0, True)],
+        3: [(0, True), (2, False)],
+        4: [(0, True), (2, True)],
+        5: [(0, True), (2, True), (4, False)],
+    }
+
+    @pytest.mark.parametrize("n", sorted(FUSED))
+    def test_fused_pairs_then_an_odd_tail(self, n):
+        assert list(oei_passes(n, fused=True)) == self.FUSED[n]
+
+    @pytest.mark.parametrize("n", sorted(FUSED))
+    def test_unfused_streams_every_iteration(self, n):
+        assert list(oei_passes(n, fused=False)) == [(k, False) for k in range(n)]
+
+    def test_static_bounds_count_the_schedule(self):
+        profile = WorkloadProfile(
+            name="pr", semiring_name="mul_add", has_oei=True, n_iterations=7,
+            path_ewise_ops=2, side_ewise_ops=1, aux_streams=0,
+            writeback_streams=1,
+        )
+        config = SparsepipeConfig()
+        plan = LoadPlan.from_matrix(
+            banded_mesh(200, 8, 1200, seed=1), config.subtensor_cols)
+        bounds = traffic_bounds(profile, plan, config, capacity=1e6)
+        passes = list(oei_passes(profile.n_iterations, profile.has_oei))
+        assert bounds.n_pairs == sum(paired for _, paired in passes) == 3
+        assert bounds.n_streams == sum(not paired for _, paired in passes) == 1
