@@ -211,7 +211,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     """The absint oracle: static bounds + OEI legality vs the
     simulator, per workload."""
-    from repro.analysis.bounds import resolve_capacity, static_report
+    from repro.analysis.bounds import static_report
     from repro.arch.config import SparsepipeConfig
     from repro.arch.loaders import LoadPlan
     from repro.arch.simulator import SparsepipeSimulator
@@ -233,7 +233,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for backend in backends:
             config = SparsepipeConfig(backend=backend)
             plan = LoadPlan.from_matrix(prep, config.subtensor_cols)
-            capacity = resolve_capacity(config, plan, paper_nnz)
+            capacity = config.buffer_capacity(plan.total_nnz, paper_nnz)
             report = static_report(
                 graph, profile, plan, config, capacity, matrix=args.matrix
             )

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping
 
 from repro.analysis.absint import (
     AbstractEnv,
@@ -69,21 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: anything beyond this is a real violation.
 REL_TOLERANCE = 1e-9
 ABS_TOLERANCE_BYTES = 1.0
-
-
-def resolve_capacity(
-    config: "SparsepipeConfig", plan: "LoadPlan",
-    paper_nnz: Optional[int] = None,
-) -> float:
-    """The buffer capacity the simulator will run with (same resolution
-    order as :meth:`SparsepipeSimulator.run`)."""
-    from repro.arch.config import PAPER_BUFFER_BYTES, scaled_buffer_bytes
-
-    if config.buffer_bytes is not None:
-        return float(config.buffer_bytes)
-    if paper_nnz is not None:
-        return float(scaled_buffer_bytes(plan.total_nnz, paper_nnz))
-    return float(PAPER_BUFFER_BYTES)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,14 @@ prefixes it opts into — adding a rule never adds another tree walk.
   ``vars``). This is exactly the PR-1 stale-cache bug class: a config
   field missing from the hash makes distinct configs collide in the
   result cache.
-- **SP904** — no unseeded randomness or wall-clock reads inside the
-  simulator/engine hot paths (``arch``, ``oei``, ``engine``,
-  ``dataflow``, ``formats``, ``semiring``, ``resilience``): results
-  must be deterministic and replayable. (``resilience`` joined the
-  list when the fault-injection layer shipped — its firing decisions
-  are sha256-derived precisely so this rule can hold.)
+- **SP904** — no unseeded randomness inside the simulator/engine hot
+  paths (``arch``, ``oei``, ``engine``, ``dataflow``, ``formats``,
+  ``semiring``, ``resilience``), and no wall-clock reads anywhere
+  outside ``repro.obs``: results must be deterministic and
+  replayable, and timing is the observability layer's job.
+  (``resilience`` joined the hot paths when the fault-injection layer
+  shipped — its firing decisions are sha256-derived precisely so this
+  rule can hold.)
 - **SP905** — no ``for ... in range(<x>.n_steps)`` loops in ``arch/``
   outside the reference backend (``arch/simulator.py``). The
   vectorized backend exists precisely so per-step Python iteration
@@ -75,6 +77,10 @@ FORBIDDEN_IMPORTS = ("scipy", "networkx")
 HOT_PATH_PACKAGES = ("arch", "oei", "engine", "dataflow", "formats",
                      "semiring", "resilience")
 
+#: The one package allowed to read the wall clock (SP904): run
+#: manifests and their stopwatch live there.
+CLOCK_PACKAGE = "obs/"
+
 #: The one module allowed to walk simulation steps in a Python loop —
 #: the reference backend (SP905).
 REFERENCE_BACKEND = "arch/simulator.py"
@@ -95,7 +101,7 @@ SUPERVISOR_PATHS = ("resilience/", "scheduler/")
 #: run_fanout, whose localpool backend is the pool substrate (SP914).
 POOL_BACKEND = "scheduler/base.py"
 
-#: Calls that introduce nondeterminism when they appear in a hot path.
+#: Wall-clock reads, allowed only in :data:`CLOCK_PACKAGE`.
 _CLOCK_CALLS = {
     ("time", "time"), ("time", "perf_counter"), ("time", "monotonic"),
     ("time", "time_ns"), ("time", "perf_counter_ns"),
@@ -259,9 +265,9 @@ def _check_cache_keys(ctx: ModuleContext, report: DiagnosticReport) -> None:
 
 
 # ----------------------------------------------------------------------
-# SP904: determinism in hot paths
+# SP904: determinism — seeded randomness in hot paths, clocks in obs/
 # ----------------------------------------------------------------------
-def _check_determinism(ctx: ModuleContext, report: DiagnosticReport) -> None:
+def _check_randomness(ctx: ModuleContext, report: DiagnosticReport) -> None:
     imports_random = any(
         isinstance(node, ast.Import)
         and any(alias.name == "random" for alias in node.names)
@@ -274,15 +280,20 @@ def _check_determinism(ctx: ModuleContext, report: DiagnosticReport) -> None:
                    "(unseeded global state)", ctx.rel)
     for node in ctx.walk(ast.Call):
         path = _call_path(node)
-        if not path:
-            continue
-        if path[-1] == "default_rng" and not node.args and not node.keywords:
+        if (path and path[-1] == "default_rng"
+                and not node.args and not node.keywords):
             report.add("SP904",
                        "default_rng() without an explicit seed is "
                        "nondeterministic", f"{ctx.rel}:{node.lineno}")
-        elif len(path) >= 2 and path[-2:] in _CLOCK_CALLS:
+
+
+def _check_clock_reads(ctx: ModuleContext, report: DiagnosticReport) -> None:
+    for node in ctx.walk(ast.Call):
+        path = _call_path(node)
+        if len(path) >= 2 and path[-2:] in _CLOCK_CALLS:
             report.add("SP904",
-                       f"reads the wall clock via {'.'.join(path)}()",
+                       f"reads the wall clock via {'.'.join(path)}() "
+                       "outside repro.obs",
                        f"{ctx.rel}:{node.lineno}")
 
 
@@ -432,8 +443,10 @@ def _check_pool_confinement(
 PASSES: Tuple[SelfCheckPass, ...] = (
     SelfCheckPass("SP901", "forbidden-import", _check_imports),
     SelfCheckPass("SP903", "cache-key-field-missing", _check_cache_keys),
-    SelfCheckPass("SP904", "unseeded-nondeterminism", _check_determinism,
+    SelfCheckPass("SP904", "unseeded-nondeterminism", _check_randomness,
                   include=tuple(f"{p}/" for p in HOT_PATH_PACKAGES)),
+    SelfCheckPass("SP904", "unseeded-nondeterminism", _check_clock_reads,
+                  exclude=(CLOCK_PACKAGE,)),
     SelfCheckPass("SP905", "step-loop-outside-reference", _check_step_loops,
                   include=("arch/",), exclude=(REFERENCE_BACKEND,)),
     SelfCheckPass("SP906", "reference-backend-pin", _check_backend_pins),

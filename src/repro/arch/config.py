@@ -120,6 +120,23 @@ class SparsepipeConfig:
             raise ConfigError("repack_threshold must be in [0, 1]")
         if not 0.0 < self.dram_efficiency <= 1.0:
             raise ConfigError("dram_efficiency must be in (0, 1]")
+        if self.buffer_bytes is not None and not self.buffer_bytes > 0:
+            raise ConfigError(
+                f"buffer_bytes must be positive or None, got {self.buffer_bytes}"
+            )
+
+    def buffer_capacity(
+        self, total_nnz: int, paper_nnz: Optional[int] = None
+    ) -> int:
+        """The buffer capacity a run over a ``total_nnz`` matrix uses:
+        the explicit ``buffer_bytes``, else the paper's capacity scaled
+        by ``total_nnz / paper_nnz`` (:func:`scaled_buffer_bytes`), else
+        :data:`PAPER_BUFFER_BYTES`."""
+        if self.buffer_bytes is not None:
+            return self.buffer_bytes
+        if paper_nnz is not None:
+            return scaled_buffer_bytes(total_nnz, paper_nnz)
+        return PAPER_BUFFER_BYTES
 
     @property
     def bytes_per_cycle(self) -> float:

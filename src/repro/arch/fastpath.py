@@ -66,17 +66,16 @@ Batched event synthesis
 -----------------------
 Observed runs do not fall back to the reference loop. When an
 :class:`~repro.engine.instrumentation.Instrumentation` carries observers,
-the fastpath *synthesizes* the per-step records of the event contract
-post-hoc from its precomputed vectors — per step, ``prefetch`` → truthy
-``transfer``s in account order → ``evict`` → ``repack`` → the closing
-``step``, then one ``FILL_STEP`` charge per pair/stream — and hands each
-pair/stream to the observers as one
-:class:`~repro.engine.instrumentation.ReplayBatch`, exactly as the
-reference loop does with the records it collects. Same records, same
-values, so traces, metrics, and Fig 15 bandwidth samples are
-byte-identical while the simulation itself stays vectorized. Each kernel
-renders its event script once (:meth:`_PairKernel.replay_script`) and every
-pair that reuses the kernel replays the cached script.
+each pair/stream reaches them as one
+:class:`~repro.engine.instrumentation.ReplayBatch` of per-step columns —
+the kernel's own ``step_cycles``, ``moved`` and stage vectors, the
+buffer statics' per-step evictions and the pair's repack pattern, closed
+by the ``FILL_STEP`` charge — the same form the reference loop builds
+from the values it collects. Same columns, same values, so traces,
+metrics, and Fig 15 bandwidth samples are byte-identical while the
+simulation itself stays vectorized. Batches are memoized per (kernel,
+repack pattern), so every pair that reuses a kernel replays the same
+batch.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ from repro.arch.loaders import LoadPlan
 from repro.arch.profile import WorkloadProfile
 from repro.arch.stats import SimResult, TrafficBreakdown
 from repro.engine.instrumentation import (
-    FILL_STEP,
     Instrumentation,
     ReplayBatch,
     StepTraceObserver,
@@ -269,90 +267,30 @@ class _PairKernel:
 
     __slots__ = (
         "step_cycles", "moved", "compute_ops", "is_ops", "peak_candidates",
-        "resident_out", "stage_cycles", "script",
+        "resident_out", "stages",
     )
 
     def __init__(self, step_cycles, moved, compute_ops, is_ops,
-                 peak_candidates, resident_out, stage_cycles):
+                 peak_candidates, resident_out, stages):
         self.step_cycles = step_cycles          #: (n_steps,)
         self.moved = moved                      #: category -> (n_steps,)
         self.compute_ops = compute_ops          #: (3 * n_steps,) interleaved
         self.is_ops = is_ops                    #: (n_steps,)
         self.peak_candidates = peak_candidates  #: (n_subtensors,) occupied at admit
         self.resident_out = resident_out        #: prefetch residency carry-out
-        self.stage_cycles = stage_cycles        #: (os, ew, is, extra, mem)
-        self.script = None                      #: lazy synthesized event script
-
-    def replay_script(self, evict_step_bytes: np.ndarray) -> list:
-        """Per-step event tuples in the reference loop's exact firing
-        order — built once per kernel, replayed by every pair that
-        memoized onto it."""
-        if self.script is None:
-            os_c, ew_c, is_c, extra_c, mem_c = self.stage_cycles
-            rows = zip(
-                self.step_cycles.tolist(),
-                self.moved["csc"].tolist(),
-                self.moved["csr_reload"].tolist(),
-                self.moved["csr_eager"].tolist(),
-                self.moved["vector"].tolist(),
-                self.moved["writeback"].tolist(),
-                os_c.tolist(), ew_c.tolist(), is_c.tolist(), mem_c.tolist(),
-                evict_step_bytes.tolist(),
-            )
-            script = []
-            for s, (cyc, csc, rl, eg, vec, wb,
-                    os_v, ew_v, is_v, mem_v, ev) in enumerate(rows):
-                moved = {
-                    "csc": csc, "csr_reload": rl, "csr_eager": eg,
-                    "vector": vec, "writeback": wb,
-                }
-                transfers = tuple(
-                    (cat, val) for cat, val in moved.items() if val
-                )
-                stages = {
-                    "os": os_v, "ewise": ew_v, "is": is_v,
-                    "extra": extra_c, "memory": mem_v,
-                }
-                script.append((s, cyc, eg, transfers, ev, moved, stages))
-            self.script = script
-        return self.script
+        self.stages = stages                    #: (stage, busy) pairs
 
 
 class _StreamKernel:
     """Per-activity simulation of one producer-consumer-fused pass."""
 
-    __slots__ = ("step_cycles", "moved", "compute_ops", "stage_cycles", "script")
+    __slots__ = ("step_cycles", "moved", "compute_ops", "stages")
 
-    def __init__(self, step_cycles, moved, compute_ops, stage_cycles):
+    def __init__(self, step_cycles, moved, compute_ops, stages):
         self.step_cycles = step_cycles
         self.moved = moved
         self.compute_ops = compute_ops
-        self.stage_cycles = stage_cycles        #: (os, ew, extra, mem)
-        self.script = None
-
-    def replay_script(self) -> list:
-        if self.script is None:
-            os_c, ew_c, extra_c, mem_c = self.stage_cycles
-            rows = zip(
-                self.step_cycles.tolist(),
-                self.moved["csc"].tolist(),
-                self.moved["vector"].tolist(),
-                self.moved["writeback"].tolist(),
-                os_c.tolist(), ew_c.tolist(), mem_c.tolist(),
-            )
-            script = []
-            for t, (cyc, csc, vec, wb, os_v, ew_v, mem_v) in enumerate(rows):
-                moved = {"csc": csc, "vector": vec, "writeback": wb}
-                transfers = tuple(
-                    (cat, val) for cat, val in moved.items() if val
-                )
-                stages = {
-                    "os": os_v, "ewise": ew_v, "extra": extra_c,
-                    "memory": mem_v,
-                }
-                script.append((t, cyc, transfers, moved, stages))
-            self.script = script
-        return self.script
+        self.stages = stages                    #: (stage, busy) pairs
 
 
 class _FastRun:
@@ -540,7 +478,8 @@ class _FastRun:
         compute[:, 2] = is_ops + extra_ops_share
         return _PairKernel(
             step_cycles, moved, compute.ravel(), is_ops, peak_candidates,
-            resident_out, (os_c, ew_c, is_c, extra_c, mem_c),
+            resident_out, (("os", os_c), ("ewise", ew_c), ("is", is_c),
+                           ("extra", extra_c), ("memory", mem_c)),
         )
 
     def _scan_pair(self, fixed_c, static_mem, reload, vec_read, writeback,
@@ -710,83 +649,33 @@ class _FastRun:
         compute = ((plan.os_nnz * act) * f + (ew_elems * n_ops) * f) + extra_ops_share
         moved = {"csc": csc, "vector": vector_cat, "writeback": writeback}
         return _StreamKernel(
-            step_cycles, moved, compute, (os_c, ew_c, extra_c, mem_c)
+            step_cycles, moved, compute, (("os", os_c), ("ewise", ew_c),
+                                          ("extra", extra_c), ("memory", mem_c)),
         )
 
     # ------------------------------------------------------------------
     # Batched event synthesis (replay through the instrumentation)
     # ------------------------------------------------------------------
-    def _stage_columns(self, kern) -> tuple:
-        """``(stage, busy, stall)`` column triples from a kernel's stage
-        arrays — ``stall`` is the same ``max(0.0, cycles - busy)`` the
-        reference loop computes per step, folded elementwise."""
-        cyc = kern.step_cycles
-        names = (
-            ("os", "ewise", "is", "extra", "memory")
-            if len(kern.stage_cycles) == 5
-            else ("os", "ewise", "extra", "memory")
-        )
-        out = []
-        for name, busy in zip(names, kern.stage_cycles):
-            if not isinstance(busy, np.ndarray):   # scalar extra share
-                busy = np.full(cyc.size, busy)
-            out.append((name, busy, np.maximum(0.0, cyc - busy)))
-        return tuple(out)
-
-    def replay_pair(self, instr: Instrumentation, kern: _PairKernel,
-                    repack_fired: Tuple[bool, ...]) -> None:
-        """Deliver one pair's synthesized event stream (closing with the
-        FILL_STEP charge) as a memoized :class:`ReplayBatch` — the
-        reference loop's exact firing order, batched, with the kernel's
-        own vectors passed through as the columnar view."""
+    def replay(self, instr: Instrumentation, kern,
+               repack_fired: Optional[Tuple[bool, ...]]) -> None:
+        """Deliver one pair's or stream's steps as a memoized
+        :class:`ReplayBatch` of the kernel's own vectors. A stream
+        (``repack_fired is None``) evicts and repacks nothing; the
+        scalar ``extra`` stage share is broadcast to a column."""
         key = (id(kern), repack_fired)
         batch = self._batch_memo.get(key)
         if batch is None:
-            evict_bytes = self._buffer_statics().evict_step_bytes
-            script = kern.replay_script(evict_bytes)
-            steps = [
-                (s, cyc, pref, transfers, ev, rp, moved, stages)
-                for (s, cyc, pref, transfers, ev, moved, stages), rp
-                in zip(script, repack_fired)
-            ]
-            steps.append((FILL_STEP, self._fill, 0.0, (), 0.0, False, {}, None))
-            eager = kern.moved["csr_eager"]
-            batch = ReplayBatch(steps, columns={
-                "cycles": np.concatenate((kern.step_cycles, (self._fill,))),
-                "dram": tuple(kern.moved.items()),
-                "stages": self._stage_columns(kern),
-                "evict": evict_bytes,
-                "prefetch": eager,
-                "n_real": int(kern.step_cycles.size),
-                "n_evict": int(np.count_nonzero(evict_bytes)),
-                "n_prefetch": int(np.count_nonzero(eager)),
-                "n_repack": sum(1 for f in repack_fired if f),
-            })
-            self._batch_memo[key] = batch
-        instr.replay(batch)
-
-    def replay_stream(self, instr: Instrumentation,
-                      kern: _StreamKernel) -> None:
-        key = (id(kern),)
-        batch = self._batch_memo.get(key)
-        if batch is None:
-            steps = [
-                (t, cyc, 0.0, transfers, 0.0, False, moved, stages)
-                for t, cyc, transfers, moved, stages in kern.replay_script()
-            ]
-            steps.append((FILL_STEP, self._fill, 0.0, (), 0.0, False, {}, None))
-            empty = np.empty(0)
-            batch = ReplayBatch(steps, columns={
-                "cycles": np.concatenate((kern.step_cycles, (self._fill,))),
-                "dram": tuple(kern.moved.items()),
-                "stages": self._stage_columns(kern),
-                "evict": empty,
-                "prefetch": empty,
-                "n_real": int(kern.step_cycles.size),
-                "n_evict": 0,
-                "n_prefetch": 0,
-                "n_repack": 0,
-            })
+            n = kern.step_cycles.size
+            if repack_fired is None:
+                evict, repack = np.zeros(n), np.zeros(n, dtype=bool)
+            else:
+                evict = self._buffer_statics().evict_step_bytes
+                repack = np.array(repack_fired, dtype=bool)
+            batch = ReplayBatch(
+                kern.step_cycles, tuple(kern.moved.items()), evict, repack,
+                tuple((s, np.broadcast_to(busy, n)) for s, busy in kern.stages),
+                self._fill,
+            )
             self._batch_memo[key] = batch
         instr.replay(batch)
 
@@ -842,7 +731,7 @@ def run_fastpath(
             repack_carry = new_carry
             repack_events += events
             if replay is not None:
-                run.replay_pair(replay, kern, fired)
+                run.replay(replay, kern, fired)
             resident_carry = kern.resident_out
             n_pairs += 1
         else:
@@ -853,7 +742,7 @@ def run_fastpath(
                 traffic_chunks[cat].append(arr)
             compute_chunks.append(kern.compute_ops)
             if replay is not None:
-                run.replay_stream(replay, kern)
+                run.replay(replay, kern, None)
 
     cycles = _fold(cycle_chunks)
     traffic = TrafficBreakdown()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.engine.instrumentation import FILL_STEP, Observer, ReplayBatch
+from repro.engine.instrumentation import Observer, ReplayBatch
 from repro.oei.schedule import OEISchedule
 
 #: Row order of the rendering, matching Fig 13 top-to-bottom.
@@ -73,9 +73,10 @@ class PipelineActivityObserver(Observer):
         self.steps: List[Tuple[int, float, Dict[str, float]]] = []
 
     def on_replay(self, batch: ReplayBatch) -> None:
-        for step, cycles, *_, stage_cycles in batch.steps:
-            if step != FILL_STEP and stage_cycles is not None:
-                self.steps.append((step, cycles, dict(stage_cycles)))
+        self.steps += [
+            (step, cycles, stages)
+            for step, cycles, _, _, _, stages in batch.rows()
+        ]
 
     def bottlenecks(self) -> List[str]:
         """The slowest component per recorded step (``overhead`` when

@@ -11,18 +11,15 @@ pipeline advances in lock-step, Fig 13).  Workloads without an OEI path
 
 Instrumentation is pluggable: pass ``observers`` to receive the
 step / transfer / evict / repack / prefetch event stream
-(:mod:`repro.engine.instrumentation`).  The reference loop collects one
-record per step and hands each pair or stream to the observers as a
-:class:`~repro.engine.instrumentation.ReplayBatch`, the same form the
-vectorized backend synthesizes; it builds no record when no observer
-is attached.  ``observers=None`` registers one
-:class:`~repro.engine.instrumentation.StepTraceObserver`, so the
-returned :class:`SimResult` carries Fig 15's bandwidth samples;
-``observers=()`` is the zero-observer fast path (no per-step
-recording, ``bandwidth_samples=[]``).  :func:`~repro.engine.registry.
-run_engine` asks for ``()`` whenever its caller names no observers, on
-either backend, so sweeps store the same result whichever backend
-served the point.
+(:mod:`repro.engine.instrumentation`).  The reference loop collects each
+step's cycles, moved bytes, evictions, repack and stage cycles, and
+hands each pair or stream to the observers as one
+:class:`~repro.engine.instrumentation.ReplayBatch` of per-step columns,
+the same form the vectorized backend builds from its kernels; it
+collects nothing when no observer is attached.  ``observers`` defaults
+to ``()``, the zero-observer fast path (``bandwidth_samples=[]``);
+Fig 15 registers a :class:`~repro.engine.instrumentation.
+StepTraceObserver` to get its bandwidth samples.
 
 The observability layer (:mod:`repro.obs`) builds on the same stream:
 a :class:`~repro.obs.timeline.TimelineObserver` exports the run as a
@@ -35,26 +32,17 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from repro.arch.buffer import OnChipBuffer
-from repro.arch.config import (
-    PAPER_BUFFER_BYTES,
-    VECTOR_ELEMENT_BYTES,
-    SparsepipeConfig,
-    scaled_buffer_bytes,
-)
+from repro.arch.config import VECTOR_ELEMENT_BYTES, SparsepipeConfig
 from repro.arch.cores import ComputePipeline
 from repro.arch.fastpath import burst_hints, run_fastpath, sparsepipe_result
 from repro.arch.loaders import EagerPrefetcher, LoadPlan
 from repro.arch.memory import MemoryController
 from repro.arch.profile import WorkloadProfile
 from repro.arch.stats import SimResult
-from repro.engine.instrumentation import (
-    FILL_STEP,
-    Instrumentation,
-    Observer,
-    ReplayBatch,
-    StepTraceObserver,
-)
+from repro.engine.instrumentation import Instrumentation, Observer, ReplayBatch
 from repro.formats.coo import COOMatrix
 from repro.oei.schedule import oei_passes
 from repro.preprocess.pipeline import PreprocessResult
@@ -74,29 +62,19 @@ class SparsepipeSimulator:
         profile: WorkloadProfile,
         matrix: Union[COOMatrix, PreprocessResult],
         paper_nnz: Optional[int] = None,
-        observers: Optional[Sequence[Observer]] = None,
+        observers: Sequence[Observer] = (),
     ) -> SimResult:
         """Simulate the full application run.
 
         ``paper_nnz`` enables per-matrix buffer scaling (DESIGN.md):
         the buffer capacity keeps the paper's buffer-to-matrix ratio.
-        ``observers`` receive the simulator's event stream; ``None``
-        attaches the default step-trace observer, ``()`` disables
-        instrumentation entirely (fast path, no bandwidth samples).
+        ``observers`` receive the simulator's event stream; with none
+        the run records nothing (no bandwidth samples).
         """
         config = self.config
         plan = LoadPlan.from_matrix(matrix, config.subtensor_cols)
-        if config.buffer_bytes is not None:
-            capacity = config.buffer_bytes
-        elif paper_nnz is not None:
-            capacity = scaled_buffer_bytes(plan.total_nnz, paper_nnz)
-        else:
-            capacity = PAPER_BUFFER_BYTES
-
-        if observers is None:
-            instr = Instrumentation((StepTraceObserver(),))
-        else:
-            instr = Instrumentation(observers)
+        capacity = config.buffer_capacity(plan.total_nnz, paper_nnz)
+        instr = Instrumentation(observers)
 
         # Vectorized backend: bit-identical to the loop below
         # (repro.arch.fastpath) for every configuration — attached
@@ -161,7 +139,7 @@ class SparsepipeSimulator:
                 return float(plan.subtensor_width[t])
             return 0.0
 
-        steps = []
+        rows = []
         for s in range(plan.n_steps):
             # --- demand traffic --------------------------------------
             reload_bytes = buffer.pop_reload(s)
@@ -223,9 +201,9 @@ class SparsepipeSimulator:
 
             state.cycles += step_cycles
             if instr:
-                steps.append((
-                    s, step_cycles, prefetched, _fired(moved), evicted,
-                    buffer.repack_events > repacks_before, moved,
+                rows.append((
+                    step_cycles, moved, evicted,
+                    buffer.repack_events > repacks_before,
                     {"os": os_c, "ewise": ew_c, "is": is_c,
                      "extra": extra_c, "memory": mem_c},
                 ))
@@ -241,7 +219,7 @@ class SparsepipeSimulator:
         fill = float(config.read_latency_cycles + cores.tree_depth)
         state.cycles += fill
         if instr:
-            _replay(instr, steps, fill)
+            _replay(instr, rows, fill)
 
     # ------------------------------------------------------------------
     # Single streamed iteration (odd tail, or non-OEI workloads)
@@ -265,7 +243,7 @@ class SparsepipeSimulator:
         extra_dram_share = profile.extra_dram_bytes_per_iteration / max(1, plan.n_subtensors)
         extra_ops_share = profile.extra_ops_per_iteration / max(1, plan.n_subtensors)
 
-        steps = []
+        rows = []
         for t in range(plan.n_subtensors):
             w = float(plan.subtensor_width[t])
             vec_read = VECTOR_ELEMENT_BYTES * f * w * (act + profile.aux_streams * act)
@@ -292,8 +270,8 @@ class SparsepipeSimulator:
                     memory.transfer(cat, val)
             state.cycles += step_cycles
             if instr:
-                steps.append((
-                    t, step_cycles, 0.0, _fired(moved), 0.0, False, moved,
+                rows.append((
+                    step_cycles, moved, 0.0, False,
                     {"os": os_c, "ewise": ew_c, "extra": extra_c, "memory": mem_c},
                 ))
             state.compute_ops += (
@@ -302,19 +280,27 @@ class SparsepipeSimulator:
         fill = float(config.read_latency_cycles + cores.tree_depth)
         state.cycles += fill
         if instr:
-            _replay(instr, steps, fill)
+            _replay(instr, rows, fill)
 
 
-def _fired(moved: dict) -> tuple:
-    """The ``(category, bytes)`` transfers a step fired, in account
-    order: every non-zero amount of ``moved``."""
-    return tuple((cat, val) for cat, val in moved.items() if val)
+def _replay(instr: Instrumentation, rows: list, fill: float) -> None:
+    """Transpose one pair's or stream's per-step ``(cycles, moved,
+    evict, repack, stages)`` rows into a :class:`ReplayBatch` closed by
+    its fill charge, and deliver it."""
+    cycles, moved, evict, repack, stages = zip(*rows) if rows else [()] * 5
+    instr.replay(ReplayBatch(
+        np.array(cycles, dtype=np.float64), _columns(moved),
+        np.array(evict, dtype=np.float64), np.array(repack, dtype=bool),
+        _columns(stages), fill,
+    ))
 
 
-def _replay(instr: Instrumentation, steps: list, fill: float) -> None:
-    """Close one pair or stream with its fill charge and deliver it."""
-    steps.append((FILL_STEP, fill, 0.0, (), 0.0, False, {}, None))
-    instr.replay(ReplayBatch(steps))
+def _columns(dicts: tuple) -> tuple:
+    """``(key, column)`` pairs, in key order, from per-step dicts."""
+    return tuple(
+        (key, np.array([d[key] for d in dicts], dtype=np.float64))
+        for key in (dicts[0] if dicts else ())
+    )
 
 
 class _RunState:

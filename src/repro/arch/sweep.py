@@ -90,9 +90,8 @@ class ConfigSweep:
                 )
                 / (1024.0 * 1024.0)
             )
-            # Keep the paper's 64 MB calibration as the density anchor.
             area = self._area.sparsepipe_mm2(
-                buffer_mb=buffer_mb * 64.0 / 64.0,
+                buffer_mb=buffer_mb,
                 n_pes=3 * config.pes_per_core,
             )
             points.append(SweepPoint(config, result, area))

@@ -15,30 +15,30 @@ walks the OEI schedule:
   prefetch / evict / repack it contains. ``index`` is the pipeline
   step, or ``FILL_STEP`` for the once-per-pair pipeline-fill charge.
 
-Both backends deliver that stream the same way: one
-:class:`ReplayBatch` per OEI pair or stream — one record per committed
-step, closing with the ``FILL_STEP`` charge — handed to every
-observer's one hook, :meth:`Observer.on_replay`, through
-:meth:`Instrumentation.replay`. The reference loop collects the records
-as it walks the steps; the vectorized backend synthesizes them from its
-kernels and memoizes each batch, so observers may cache derived
-templates on ``batch.cache``. Either way the records, and the event
-order they encode, are the reference loop's, byte for byte. With **no
-observers registered neither backend builds a record** (the
-zero-observer fast path), so instrumentation costs nothing unless
-asked for.
+Both backends deliver that stream in one form: one
+:class:`ReplayBatch` of per-step columns per OEI pair or stream,
+handed to every observer's one hook, :meth:`Observer.on_replay`,
+through :meth:`Instrumentation.replay`. The reference loop collects
+each step's values as it walks the steps and transposes them once per
+pair or stream; the vectorized backend passes its kernels' own vectors
+and memoizes each batch, so observers may cache derived templates on
+``batch.cache``. Either way the columns hold the reference loop's
+values, and the event order they encode is fixed by the batch (see
+:class:`EventLogObserver`). With **no observers registered neither
+backend builds a batch** (the zero-observer fast path), so
+instrumentation costs nothing unless asked for.
 
-:class:`StepTraceObserver` reproduces the historical hard-wired
-accumulators (the per-step :class:`~repro.arch.stats.StepTrace` behind
-Fig 15's bandwidth samples); :class:`CounterObserver` adds per-category
-event counters; :class:`EventLogObserver` records the raw event stream
-(tests, debugging). :class:`~repro.arch.pipeline_viz.
-PipelineActivityObserver` renders per-step bottlenecks.
+:class:`StepTraceObserver` accumulates the per-step
+:class:`~repro.arch.stats.StepTrace` behind Fig 15's bandwidth
+samples; :class:`CounterObserver` adds per-category event counters;
+:class:`EventLogObserver` records the raw event stream (tests,
+debugging). :class:`~repro.arch.pipeline_viz.PipelineActivityObserver`
+renders per-step bottlenecks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,24 @@ from repro.arch.stats import StepTrace
 FILL_STEP = -1
 
 
+def running_total(start: float, amounts) -> np.ndarray:
+    """``[start, start + a0, (start + a0) + a1, ...]``: the value after
+    each ``total += a`` of a sequential loop, bit for bit, as one seeded
+    ``cumsum`` (a strict left fold, unlike ``np.sum``)."""
+    buf = np.empty(len(amounts) + 1)
+    buf[0] = start
+    buf[1:] = amounts
+    return buf.cumsum()
+
+
+def left_fold(start: float, amounts) -> float:
+    """``start`` plus every amount, added in order: the float a ``+=``
+    loop ends on. Zero amounts (events that never fired) add ``0.0``,
+    the float-addition identity for the non-negative totals folded
+    here."""
+    return float(running_total(start, amounts)[-1])
+
+
 class Observer:
     """Base observer: override :meth:`on_replay`."""
 
@@ -57,109 +75,68 @@ class Observer:
         """Consume one pair or stream of the event stream, in step
         order. Batches may be replayed more than once (the vectorized
         backend memoizes them per kernel), so an observer must not
-        mutate the records."""
+        mutate the columns."""
 
 
 class ReplayBatch:
-    """One step-aligned span of the event stream — a single pair (plus
-    its fill charge) or stream.
+    """One step-aligned span of the event stream — a single pair or
+    stream — as per-step columns. A step's index is its position.
 
-    ``steps`` holds one record per committed step, in commit order::
+    - ``cycles`` — each step's duration (float64),
+    - ``moved`` — ``(category, bytes)`` column pairs in account order;
+      a step's ``transfer`` events are its non-zero amounts, in that
+      order, and its ``prefetch`` is its ``csr_eager`` amount,
+    - ``evict`` — bytes the buffer spilled at each step,
+    - ``repack`` — whether the buffer repacked at each step (bool),
+    - ``stages`` — ``(stage, busy cycles)`` column pairs, one per
+      reported component (``os``, ``ewise``, ``is``, ``extra``,
+      ``memory``),
+    - ``fill`` — the closing ``FILL_STEP`` charge, which moves nothing.
 
-        (step, cycles, prefetch_bytes, transfers, evict_bytes,
-         repack, moved, stage_cycles)
-
-    where ``transfers`` is a tuple of ``(category, n_bytes)`` in firing
-    order, ``repack`` is a bool, and zero/empty fields mean the
-    corresponding event never fired. ``moved`` maps every category the
-    step accounts to its bytes, zeros included; ``stage_cycles`` breaks
-    the step down by component (``os``, ``ewise``, ``is``, ``extra``,
-    ``memory``) and is ``None`` for fill charges. Batches are memoized by the
-    vectorized backend (one per kernel) and replayed once per
-    iteration, so ``cache`` gives observers a stable home for derived
-    templates keyed by consumer (``batch.cache["timeline"]`` holds the
-    timeline's pre-rendered event text, etc.).
-
-    ``columns`` is the same event stream as per-counter float64 arrays
-    (see :meth:`column_data`) so numeric observers can fold whole
-    batches with ``cumsum`` instead of walking ``steps``. The vectorized
-    backend passes its kernel's own vectors through; the reference loop
-    passes none and they are derived from ``steps``. Folding a full
-    kernel column — zero amounts included — equals the in-order fold
-    over the fired events bit for bit, because each zero adds ``0.0``,
-    the float-addition identity for the non-negative totals involved.
-    Event *counts* therefore come from the records or the ``n_*``
-    fields, never from column lengths.
+    Event *counts* are ``np.count_nonzero`` of a column. Batches are
+    memoized by the vectorized backend (one per kernel) and replayed
+    once per iteration, so ``cache`` gives observers a stable home for
+    derived templates keyed by consumer (``batch.cache["timeline"]``
+    holds the timeline's pre-rendered event text, etc.).
     """
 
-    __slots__ = ("steps", "columns", "cache")
+    __slots__ = ("cycles", "moved", "evict", "repack", "stages", "fill",
+                 "cache")
 
-    def __init__(
-        self, steps: Sequence[tuple], columns: Optional[dict] = None
-    ) -> None:
-        self.steps = tuple(steps)
-        self.columns = columns
+    def __init__(self, cycles: np.ndarray,
+                 moved: Tuple[Tuple[str, np.ndarray], ...],
+                 evict: np.ndarray, repack: np.ndarray,
+                 stages: Tuple[Tuple[str, np.ndarray], ...],
+                 fill: float) -> None:
+        self.cycles = cycles
+        self.moved = moved
+        self.evict = evict
+        self.repack = repack
+        self.stages = stages
+        self.fill = fill
         self.cache: Dict[object, object] = {}
 
-    def column_data(self) -> dict:
-        """The columnar view of the batch, derived from ``steps`` (and
-        cached) when the producer did not supply one:
+    def all_cycles(self) -> np.ndarray:
+        """Every charge in commit order: the steps, then the fill."""
+        return np.append(self.cycles, self.fill)
 
-        - ``cycles`` — per-step durations, every step including fills,
-        - ``dram`` — ``(category, amounts)`` pairs, amounts per step,
-        - ``stages`` — ``(stage, busy, stall)`` per reported stage,
-          with ``stall = max(0.0, cycles - busy)`` already folded in,
-        - ``evict`` / ``prefetch`` — per-event byte amounts,
-        - ``n_real`` / ``n_evict`` / ``n_prefetch`` / ``n_repack`` —
-          exact integer event counts.
-        """
-        cols = self.columns
-        if cols is None:
-            cols = self._derive_columns()
-            self.columns = cols
-        return cols
+    def rows(self) -> Iterator[tuple]:
+        """The steps as Python values, in order: ``(index, cycles,
+        moved, evict, repack, stages)``, with ``moved`` and ``stages``
+        fresh dicts in column order. The fill charge is no row."""
+        return zip(
+            range(self.cycles.size), self.cycles.tolist(),
+            _dicts(self.moved, self.cycles.size), self.evict.tolist(),
+            self.repack.tolist(), _dicts(self.stages, self.cycles.size),
+        )
 
-    def _derive_columns(self) -> dict:
-        cycles: List[float] = []
-        dram: Dict[str, List[float]] = {}
-        busy: Dict[str, List[float]] = {}
-        stall: Dict[str, List[float]] = {}
-        evict: List[float] = []
-        prefetch: List[float] = []
-        n_real = n_evict = n_prefetch = n_repack = 0
-        for (step, cyc, pref, transfers, ev, repack,
-             moved, stage_cycles) in self.steps:
-            cycles.append(cyc)
-            if pref:
-                prefetch.append(pref)
-                n_prefetch += 1
-            for cat, val in transfers:
-                dram.setdefault(cat, []).append(val)
-            if ev:
-                evict.append(ev)
-                n_evict += 1
-            if repack:
-                n_repack += 1
-            if step != FILL_STEP:
-                n_real += 1
-            if stage_cycles:
-                for stage, b in stage_cycles.items():
-                    busy.setdefault(stage, []).append(b)
-                    stall.setdefault(stage, []).append(max(0.0, cyc - b))
-        arr = lambda xs: np.asarray(xs, dtype=np.float64)  # noqa: E731
-        return {
-            "cycles": arr(cycles),
-            "dram": tuple((c, arr(v)) for c, v in dram.items()),
-            "stages": tuple(
-                (s, arr(v), arr(stall[s])) for s, v in busy.items()
-            ),
-            "evict": arr(evict),
-            "prefetch": arr(prefetch),
-            "n_real": n_real,
-            "n_evict": n_evict,
-            "n_prefetch": n_prefetch,
-            "n_repack": n_repack,
-        }
+
+def _dicts(columns: Tuple[Tuple[str, np.ndarray], ...], n: int) -> list:
+    """One ``{name: value}`` dict per step from ``(name, column)``
+    pairs."""
+    names = [name for name, _ in columns]
+    values = zip(*(col.tolist() for _, col in columns)) if columns else [()] * n
+    return [dict(zip(names, row)) for row in values]
 
 
 class Instrumentation:
@@ -192,17 +169,17 @@ class Instrumentation:
 
 class StepTraceObserver(Observer):
     """Accumulates the per-step :class:`StepTrace` — the record behind
-    Fig 15's bandwidth-over-progress samples. Registered by default
-    when ``run`` is called without an explicit observer list, so the
-    default :class:`~repro.arch.stats.SimResult` is unchanged."""
+    Fig 15's bandwidth-over-progress samples. Fig 15 registers one;
+    a run without it returns no samples."""
 
     def __init__(self) -> None:
         self.trace = StepTrace()
 
     def on_replay(self, batch: ReplayBatch) -> None:
         record = self.trace.record
-        for rec in batch.steps:
-            record(rec[1], rec[6])
+        for _, cycles, moved, *_ in batch.rows():
+            record(cycles, moved)
+        record(batch.fill, {})
 
     def samples(self, bytes_per_cycle: float, n_bins: int = 25):
         return self.trace.samples(bytes_per_cycle, n_bins=n_bins)
@@ -225,25 +202,22 @@ class CounterObserver(Observer):
         self.prefetch_bytes = 0.0
 
     def on_replay(self, batch: ReplayBatch) -> None:
-        # One in-order left fold per total, in step order, so every sum
-        # ends on the same float as the simulator's own accumulators.
+        # One in-order left fold per total, so every sum ends on the
+        # same float as the simulator's own accumulators.
         counts, totals = self.transfer_events, self.transfer_bytes
-        for (step, cycles, prefetch, transfers, evict, repack,
-             _moved, _stages) in batch.steps:
-            if prefetch:
-                self.prefetch_events += 1
-                self.prefetch_bytes += prefetch
-            for cat, n_bytes in transfers:
-                counts[cat] = counts.get(cat, 0) + 1
-                totals[cat] = totals.get(cat, 0.0) + n_bytes
-            if evict:
-                self.evict_events += 1
-                self.evict_bytes += evict
-            if repack:
-                self.repack_events += 1
-            if step != FILL_STEP:
-                self.steps += 1
-            self.cycles += cycles
+        for cat, amounts in batch.moved:
+            fired = int(np.count_nonzero(amounts))
+            if fired:
+                counts[cat] = counts.get(cat, 0) + fired
+                totals[cat] = left_fold(totals.get(cat, 0.0), amounts)
+                if cat == "csr_eager":
+                    self.prefetch_events += fired
+                    self.prefetch_bytes = left_fold(self.prefetch_bytes, amounts)
+        self.evict_events += int(np.count_nonzero(batch.evict))
+        self.evict_bytes = left_fold(self.evict_bytes, batch.evict)
+        self.repack_events += int(np.count_nonzero(batch.repack))
+        self.steps += batch.cycles.size
+        self.cycles = left_fold(self.cycles, batch.all_cycles())
 
     def as_dict(self) -> Dict[str, float]:
         """Flat summary suitable for reports / JSON export."""
@@ -266,21 +240,24 @@ class EventLogObserver(Observer):
     """Records the raw ordered event stream as ``(kind, ...)`` tuples —
     the ground truth for event-ordering tests and ad-hoc debugging.
     Within a step the order is ``prefetch``, ``transfer``s in account
-    order, ``evict``, ``repack``, then the closing ``step``."""
+    order, ``evict``, ``repack``, then the closing ``step``; each batch
+    closes with the fill charge's ``step``."""
 
     def __init__(self) -> None:
         self.events: List[Tuple] = []
 
     def on_replay(self, batch: ReplayBatch) -> None:
         append = self.events.append
-        for (step, cycles, prefetch, transfers, evict, repack,
-             moved, _stages) in batch.steps:
+        for step, cycles, moved, evict, repack, _ in batch.rows():
+            prefetch = moved.get("csr_eager")
             if prefetch:
                 append(("prefetch", step, prefetch))
-            for cat, n_bytes in transfers:
-                append(("transfer", cat, n_bytes))
+            for cat, n_bytes in moved.items():
+                if n_bytes:
+                    append(("transfer", cat, n_bytes))
             if evict:
                 append(("evict", step, evict))
             if repack:
                 append(("repack", step))
-            append(("step", step, cycles, dict(moved)))
+            append(("step", step, cycles, moved))
+        append(("step", FILL_STEP, batch.fill, {}))

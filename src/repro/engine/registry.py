@@ -21,7 +21,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Protocol, Tuple, TYPE_CHECKING
+from typing import Optional, Protocol, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.resilience.faults import maybe_raise
@@ -29,6 +29,7 @@ from repro.resilience.faults import maybe_raise
 if TYPE_CHECKING:  # pragma: no cover
     from repro.arch.config import SparsepipeConfig
     from repro.arch.stats import SimResult
+    from repro.engine.instrumentation import Observer
 
 
 class Engine(Protocol):
@@ -115,49 +116,42 @@ def create_engine(name: str, config: Optional["SparsepipeConfig"] = None) -> Eng
     return get_arch(name).create(config)
 
 
-#: Sentinel distinguishing "caller passed no observers argument" from an
-#: explicit ``observers=None`` (which asks for the engine's default
-#: step-trace observer and therefore bandwidth samples).
-_OBSERVERS_UNSET = object()
-
-
 def run_engine(
     name: str,
     config: Optional["SparsepipeConfig"],
     profile,
     matrix,
     paper_nnz: Optional[int] = None,
-    observers=_OBSERVERS_UNSET,
+    observers: Sequence["Observer"] = (),
 ) -> "SimResult":
     """Run one architecture on one point, observed or not.
 
     Every caller routes through here (sweeps, the trace CLI,
     ``capture_run``, the fig drivers), so the ``engine.run`` chaos site
-    covers observed and unobserved runs alike. With ``observers`` given,
-    the request is forwarded to the engine verbatim — the vectorized
-    backend synthesizes the event stream post-hoc at full speed, so
-    observers never force a downgrade; asking a non-observable
-    architecture for observers raises SP907 instead of being silently
-    ignored. Without ``observers``, every observable engine runs with
-    ``observers=()`` whatever its backend (the zero-observer contract —
-    ``bandwidth_samples=[]``), so both backends store the same result
-    for a point; the other engines take their plain ``run``. Fig 15
-    passes ``observers=None`` to get its bandwidth samples.
+    covers observed and unobserved runs alike. An observable engine
+    gets the ``observers`` request verbatim; the default ``()`` is the
+    zero-observer contract (``bandwidth_samples=[]``) on either backend,
+    so both store the same result for a point. The vectorized backend
+    synthesizes the event stream post-hoc at full speed, so observers
+    never force a downgrade. Asking a non-observable architecture for
+    observers raises SP907 instead of being silently ignored; without
+    them it takes its plain ``run``. Fig 15 passes a
+    :class:`~repro.engine.instrumentation.StepTraceObserver` to get its
+    bandwidth samples.
     """
     spec = get_arch(name)
     # Chaos-test site: lets the fault-injection harness prove the
     # sweep-level retry path without a purpose-built flaky engine.
     maybe_raise("engine.run", f"{name}/{getattr(profile, 'name', '?')}")
     engine = spec.create(config)
-    if observers is _OBSERVERS_UNSET:
-        if not spec.observable:
-            return engine.run(profile, matrix, paper_nnz=paper_nnz)
-        observers = ()
-    elif not spec.observable:
+    if spec.observable:
+        return engine.run(profile, matrix, paper_nnz=paper_nnz,
+                          observers=observers)
+    if observers:
         raise ConfigError(
             f"[SP907] architecture {name!r} is not observable: it has "
             "no event stream to honor an observers= request with "
             f"(observable architectures: "
             f"{tuple(n for n in arch_names() if get_arch(n).observable)})"
         )
-    return engine.run(profile, matrix, paper_nnz=paper_nnz, observers=observers)
+    return engine.run(profile, matrix, paper_nnz=paper_nnz)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.arch.stats import BandwidthSample
+from repro.engine.instrumentation import StepTraceObserver
 from repro.engine.registry import run_engine
 from repro.experiments.report import format_bar_series
 from repro.experiments.runner import ExperimentContext, FIG15_PAIRS
@@ -33,17 +34,17 @@ def run(context: Optional[ExperimentContext] = None) -> List[Fig15Series]:
     context = context or ExperimentContext()
     out: List[Fig15Series] = []
     for workload, matrix in FIG15_PAIRS:
-        # This figure needs the per-step bandwidth samples: ask for the
-        # engine's default step-trace observer (observers=None). The
-        # vectorized backend synthesizes the event stream post-hoc, so
-        # sampling no longer costs a reference-loop run.
+        # This figure needs the per-step bandwidth samples, which a
+        # StepTraceObserver records. The vectorized backend synthesizes
+        # the event stream post-hoc, so sampling costs no reference-loop
+        # run.
         result = run_engine(
             "sparsepipe",
             context.config,
             context.profile(workload, matrix),
             context.prepared(matrix),
             paper_nnz=SUITE[matrix].paper_nnz,
-            observers=None,
+            observers=[StepTraceObserver()],
         )
         speedup = context.speedup(workload, matrix, over="ideal")
         out.append(

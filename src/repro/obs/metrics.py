@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.stats import TRAFFIC_CATEGORIES, SimResult, TrafficBreakdown
-from repro.engine.instrumentation import Observer, ReplayBatch
+from repro.engine.instrumentation import Observer, ReplayBatch, left_fold
 
 #: ``json.dumps(doc, sort_keys=True)`` through one shared encoder: the
 #: text that manifest and metrics digests hash and store rows hold.
@@ -74,6 +74,11 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease by {amount}")
         self.value += amount
+
+    def fold(self, amounts) -> None:
+        """``inc(a)`` for each amount, in order: one
+        :func:`~repro.engine.instrumentation.left_fold`, bit for bit."""
+        self.value = left_fold(self.value, amounts)
 
     def to_dict(self) -> Dict[str, object]:
         return {"type": self.kind, "value": float(self.value)}
@@ -306,50 +311,33 @@ class MetricsObserver(Observer):
         """Consume one batch wholesale, via its columns.
 
         Float counters must end on the *same* float as one ``inc`` per
-        event in step order, so every per-counter column is folded with
-        ``cumsum`` seeded by the current value — a strict in-order left
-        fold, never a re-associated grouping (kernel columns include
-        zero amounts for events that never fired; adding them is the
-        float identity). Pure event *counts* collapse to one addition
-        (exact for integers in float64).
+        event in step order, so every column is folded with
+        :func:`~repro.engine.instrumentation.left_fold` — a strict
+        in-order left fold, never a re-associated grouping (columns
+        include zero amounts for events that never fired; adding them
+        is the float identity). Pure event *counts* collapse to one
+        addition (exact for integers in float64).
         """
-        cols = batch.column_data()
-        fold = self._fold_counter
-        cyc = cols["cycles"]
-        fold(self._cycles, cyc)
-        if cols["n_real"]:
-            self._steps.value += cols["n_real"]
+        cyc = batch.all_cycles()
+        self._cycles.fold(cyc)
+        self._steps.value += batch.cycles.size
         self._observe_hist(batch, cyc)
-        for stage, busy, stall in cols["stages"]:
+        for stage, busy in batch.stages:
             counter = self._busy.get(stage)
             if counter is not None:
-                fold(counter, busy)
-                fold(self._stall[stage], stall)
-        for cat, amounts in cols["dram"]:
-            fold(self._dram[cat], amounts)
-        if cols["n_evict"]:
-            self._evict_events.value += cols["n_evict"]
-        fold(self._evict_bytes, cols["evict"])
-        if cols["n_repack"]:
-            self._repacks.value += cols["n_repack"]
-        if cols["n_prefetch"]:
-            self._prefetch_events.value += cols["n_prefetch"]
-        fold(self._prefetch_bytes, cols["prefetch"])
-
-    @staticmethod
-    def _fold_counter(counter: Counter, amounts: np.ndarray) -> None:
-        """``counter.inc(a)`` for each amount, as one cumsum (the same
-        sequential left fold, bit for bit)."""
-        if amounts.size:
-            buf = np.empty(amounts.size + 1)
-            buf[0] = counter.value
-            buf[1:] = amounts
-            counter.value = float(buf.cumsum()[-1])
+                counter.fold(busy)
+                self._stall[stage].fold(np.maximum(0.0, batch.cycles - busy))
+        for cat, amounts in batch.moved:
+            self._dram[cat].fold(amounts)
+            if cat == "csr_eager":
+                self._prefetch_events.value += int(np.count_nonzero(amounts))
+                self._prefetch_bytes.fold(amounts)
+        self._evict_events.value += int(np.count_nonzero(batch.evict))
+        self._evict_bytes.fold(batch.evict)
+        self._repacks.value += int(np.count_nonzero(batch.repack))
 
     def _observe_hist(self, batch: ReplayBatch, cyc: np.ndarray) -> None:
         hist = self._step_hist
-        if not cyc.size:
-            return
         # Bucket assignment depends on the histogram's bounds (a shared
         # registry may have pre-registered custom ones), so the bincount
         # is cached on the batch per bounds tuple.
@@ -362,10 +350,7 @@ class MetricsObserver(Observer):
             )
             counts = np.bincount(idx, minlength=len(hist.buckets) + 1).tolist()
             batch.cache[("hist", hist.buckets)] = counts
-        buf = np.empty(cyc.size + 1)
-        buf[0] = hist.total
-        buf[1:] = cyc
-        hist.total = float(buf.cumsum()[-1])
+        hist.total = left_fold(hist.total, cyc)
         hist.count += cyc.size
         hist_counts = hist.counts
         for i, n in enumerate(counts):

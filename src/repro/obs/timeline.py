@@ -28,12 +28,16 @@ import json
 import re
 from json.encoder import encode_basestring_ascii as _str_text
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.arch.stats import TRAFFIC_CATEGORIES
-from repro.engine.instrumentation import FILL_STEP, Observer, ReplayBatch
+from repro.engine.instrumentation import (
+    FILL_STEP,
+    Observer,
+    ReplayBatch,
+    left_fold,
+    running_total,
+)
 
 #: Process id for the simulated Sparsepipe instance.
 TRACE_PID = 1
@@ -129,43 +133,41 @@ _REPACK = _shape(name="repack", ph="i", s="t", pid=TRACE_PID,
 _CLOSE = "\n  }"
 
 
-def _render(steps: Sequence[tuple]) -> List[Tuple[int, str]]:
+def _render(batch: ReplayBatch) -> List[Tuple[int, str]]:
     """A batch's template: one ``(step_index, prefix)`` pair per event,
     in export order, where ``prefix`` is the event's exact text up to
     its ``ts`` value.
 
     Per step: its pipeline span, its stage spans, a DRAM byte counter,
     then its instants in arrival order — the loop fires prefetch before
-    transfers, evict after them, repack last.
+    transfers, evict after them, repack last. The closing fill span
+    moves nothing and has no counter.
     """
     tmpl: List[Tuple[int, str]] = []
     add = tmpl.append
-    for j, (step, cycles, prefetch, transfers, evict, repack,
-            moved, stage_cycles) in enumerate(steps):
-        fill = step == FILL_STEP
+    for j, cycles, moved, evict, repack, stages in batch.rows():
         add((j, _STEP % (
-            _float_text(sum(moved.values())), int.__repr__(int(step)),
-            _float_text(cycles),
-            _str_text("fill" if fill else f"step {step}"),
+            _float_text(sum(moved.values())), int.__repr__(j),
+            _float_text(cycles), _str_text(f"step {j}"),
         )))
-        if stage_cycles:
-            for stage, busy in stage_cycles.items():
-                shape = _STAGE.get(stage)
-                if shape is not None and busy > 0.0:
-                    add((j, shape % _float_text(busy)))
-        if transfers or not fill:
-            pending: Dict[str, float] = {}
-            for cat, val in transfers:
-                pending[cat] = pending.get(cat, 0.0) + val
-            add((j, _DRAM % tuple(
-                _float_text(pending.get(c, 0.0)) for c in _DRAM_SLOTS
-            )))
+        for stage, busy in stages.items():
+            shape = _STAGE.get(stage)
+            if shape is not None and busy > 0.0:
+                add((j, shape % _float_text(busy)))
+        add((j, _DRAM % tuple(
+            _float_text(moved.get(c) or 0.0) for c in _DRAM_SLOTS
+        )))
+        prefetch = moved.get("csr_eager")
         if prefetch:
             add((j, _PREFETCH % _float_text(prefetch)))
         if evict:
             add((j, _EVICT % _float_text(evict)))
         if repack:
             add((j, _REPACK))
+    add((batch.cycles.size, _STEP % (
+        "0.0", int.__repr__(FILL_STEP), _float_text(batch.fill),
+        _str_text("fill"),
+    )))
     return tmpl
 
 
@@ -198,28 +200,17 @@ class TimelineObserver(Observer):
         prefix)`` pairs cached on the batch; every replay appends
         ``prefix + ts + "\\n  }"`` per event.
         """
-        cols = batch.column_data()
-        cyc = cols["cycles"]
-        buf = np.empty(cyc.size + 1)
-        buf[0] = self.total_cycles
-        buf[1:] = cyc
-        ends = buf.cumsum().tolist()
+        ends = running_total(self.total_cycles, batch.all_cycles()).tolist()
         tmpl = batch.cache.get("timeline")
         if tmpl is None:
-            tmpl = batch.cache["timeline"] = _render(batch.steps)
+            tmpl = batch.cache["timeline"] = _render(batch)
         stamps = [_float_text(t) + _CLOSE for t in ends]
         self.events += [prefix + stamps[j] for j, prefix in tmpl]
         by_cat = self.bytes_by_category
-        for cat, amounts in cols["dram"]:
-            # In-order adds of every fired transfer; zero amounts in a
-            # kernel column are the float-addition identity here.
-            if amounts.size:
-                fold = np.empty(amounts.size + 1)
-                fold[0] = by_cat[cat]
-                fold[1:] = amounts
-                by_cat[cat] = float(fold.cumsum()[-1])
+        for cat, amounts in batch.moved:
+            by_cat[cat] = left_fold(by_cat[cat], amounts)
         self.total_cycles = ends[-1]
-        self.steps += cols["n_real"]
+        self.steps += batch.cycles.size
 
     # ------------------------------------------------------------------
     # Export

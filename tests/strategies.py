@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.arch.stats import TRAFFIC_CATEGORIES
 from repro.dataflow.program import EWiseInstr, OEIProgram, Operand, OperandKind
-from repro.engine.instrumentation import FILL_STEP, ReplayBatch
+from repro.engine.instrumentation import ReplayBatch
 from repro.formats.coo import COOMatrix
 from repro.obs.manifest import RunManifest
 from repro.semiring import MONOIDS
@@ -173,16 +173,16 @@ def random_programs(draw):
 TRACE_FLOATS = (0.0, -0.0, 5e-324, 1e300, -1e300, 0.1, np.nan, np.inf,
                 -np.inf)
 
-#: ``stage_cycles`` keys: the five the timeline maps to tracks, plus
-#: one it does not.
+#: Stage names: the five the timeline maps to tracks, plus one it does
+#: not.
 TRACE_STAGES = ("os", "ewise", "is", "extra", "memory", "decode")
 
 
 def trace_leaves():
     """Numeric event fields: the edge floats, any bounded float, the
-    same as ``numpy.float64`` (what the reference loop hands over), and
-    ints past 2**64 (the reference loop reports some stage cycles as
-    ints)."""
+    same as ``numpy.float64``, and ints past 2**64 (the reference loop
+    reports some stage cycles as ints, which its batch turns into
+    float64 columns)."""
     floats = st.floats(-1e300, 1e300)
     return st.one_of(
         st.sampled_from(TRACE_FLOATS),
@@ -193,25 +193,30 @@ def trace_leaves():
 
 
 @st.composite
-def replay_records(draw):
-    """One :class:`ReplayBatch` step record, a fill charge or a real
-    step with an arbitrary (possibly empty) stage breakdown."""
+def replay_batches(draw, max_steps: int = 4):
+    """One columnar :class:`ReplayBatch`: up to ``max_steps`` steps,
+    any subset of the traffic categories (in any order) and of
+    ``TRACE_STAGES``, amounts that are often zero (events that never
+    fired), and any fill charge."""
+    n = draw(st.integers(0, max_steps))
     leaf = trace_leaves()
+
+    def column(values):
+        return np.array(
+            draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64
+        )
+
     maybe = st.one_of(st.just(0.0), leaf)
-    fill = draw(st.booleans())
-    return (
-        FILL_STEP if fill else draw(st.integers(0, 2**70)),
-        draw(leaf),
-        draw(maybe),
-        tuple(draw(st.lists(
-            st.tuples(st.sampled_from(TRAFFIC_CATEGORIES), leaf),
-            max_size=3,
-        ))),
-        draw(maybe),
-        draw(st.booleans()),
-        draw(st.dictionaries(st.sampled_from(TRAFFIC_CATEGORIES), leaf)),
-        None if fill else draw(
-            st.dictionaries(st.sampled_from(TRACE_STAGES), leaf)),
+    categories = draw(st.lists(st.sampled_from(TRAFFIC_CATEGORIES), unique=True))
+    stages = draw(st.lists(st.sampled_from(TRACE_STAGES), unique=True))
+    return ReplayBatch(
+        column(leaf),
+        tuple((cat, column(maybe)) for cat in categories),
+        column(maybe),
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                 dtype=bool),
+        tuple((stage, column(leaf)) for stage in stages),
+        float(draw(leaf)),
     )
 
 
@@ -221,7 +226,7 @@ def replay_streams(draw, max_batches: int = 3, max_steps: int = 4):
     batch may come back, as a memoized kernel's does once per
     iteration."""
     batches = [
-        ReplayBatch(draw(st.lists(replay_records(), max_size=max_steps)))
+        draw(replay_batches(max_steps))
         for _ in range(draw(st.integers(1, max_batches)))
     ]
     order = st.integers(0, len(batches) - 1)

@@ -22,7 +22,6 @@ import pytest
 from repro.analysis.bounds import (
     ABS_TOLERANCE_BYTES,
     REL_TOLERANCE,
-    resolve_capacity,
     static_report,
     traffic_bounds,
 )
@@ -53,7 +52,7 @@ def _point(context, prep, workload: str, backend: str):
     config = SparsepipeConfig(backend=backend)
     profile = context.profile(workload, MATRIX)
     plan = LoadPlan.from_matrix(prep, config.subtensor_cols)
-    capacity = resolve_capacity(config, plan, SUITE[MATRIX].paper_nnz)
+    capacity = config.buffer_capacity(plan.total_nnz, SUITE[MATRIX].paper_nnz)
     report = static_report(
         get_workload(workload).build_graph(), profile, plan, config,
         capacity, matrix=MATRIX,
@@ -137,7 +136,7 @@ def test_eager_toggle_shifts_bound_between_categories(context, prep):
     base = SparsepipeConfig(backend="vectorized")
     lazy = SparsepipeConfig(backend="vectorized", eager_is=False)
     plan = LoadPlan.from_matrix(prep, base.subtensor_cols)
-    cap = resolve_capacity(base, plan, SUITE[MATRIX].paper_nnz)
+    cap = base.buffer_capacity(plan.total_nnz, SUITE[MATRIX].paper_nnz)
     eager_b = traffic_bounds(profile, plan, base, cap)
     lazy_b = traffic_bounds(profile, plan, lazy, cap)
     assert eager_b.by_category["csr_eager"] > 0.0

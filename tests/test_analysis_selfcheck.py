@@ -139,6 +139,19 @@ class TestDeterminism:
         assert selfcheck(tmp_path).has("SP904")
 
     def test_wall_clock_outside_hot_path_is_allowed(self, tmp_path):
+        """Clock reads belong in repro.obs, which is no hot path."""
+        write_tree(tmp_path, {
+            "obs/bench.py": """
+                import time
+
+                def stamp():
+                    return time.perf_counter()
+            """,
+        })
+        assert not selfcheck(tmp_path).has("SP904")
+
+    def test_sp904_wall_clock_in_experiments(self, tmp_path):
+        """The clock half of SP904 covers every package but obs/."""
         write_tree(tmp_path, {
             "experiments/bench.py": """
                 import time
@@ -147,6 +160,11 @@ class TestDeterminism:
                     return time.perf_counter()
             """,
         })
+        assert selfcheck(tmp_path).has("SP904")
+
+    def test_randomness_outside_hot_path_is_allowed(self, tmp_path):
+        """The randomness half keeps its hot-path scope."""
+        write_tree(tmp_path, {"experiments/sample.py": "import random\n"})
         assert not selfcheck(tmp_path).has("SP904")
 
 

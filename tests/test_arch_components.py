@@ -13,6 +13,7 @@ from repro.arch.buffer import OnChipBuffer
 from repro.arch.config import (
     CPU_DDR4,
     GPU_GDDR6X,
+    PAPER_BUFFER_BYTES,
     MemoryConfig,
     SparsepipeConfig,
     scaled_buffer_bytes,
@@ -22,10 +23,14 @@ from repro.arch.energy import EnergyModel
 from repro.arch.loaders import EagerPrefetcher, LoadPlan
 from repro.arch.memory import MemoryController
 from repro.arch.profile import WorkloadProfile
+from repro.arch.simulator import SparsepipeSimulator
 from repro.arch.stats import StepTrace, TrafficBreakdown
 from repro.errors import BufferError_, ConfigError
 from repro.formats.coo import COOMatrix
+from repro.matrices import banded_mesh
+from repro.preprocess import preprocess
 from tests.conftest import random_coo
+from tests.test_simulator import make_profile
 
 
 class TestConfig:
@@ -61,6 +66,30 @@ class TestConfig:
             SparsepipeConfig(csr_window_fraction=0.0)
         with pytest.raises(ConfigError):
             SparsepipeConfig(dram_efficiency=1.5)
+
+    @pytest.mark.parametrize("buffer_bytes", [0, -5])
+    def test_non_positive_buffer_is_rejected(self, buffer_bytes):
+        with pytest.raises(ConfigError, match="buffer_bytes"):
+            SparsepipeConfig(buffer_bytes=buffer_bytes)
+
+    def test_buffer_capacity_resolution_order(self):
+        """Explicit bytes, else the paper capacity scaled by the
+        matrix's share of the paper's nnz, else the paper capacity."""
+        assert SparsepipeConfig(buffer_bytes=8192).buffer_capacity(
+            1000, 10**6) == 8192
+        assert SparsepipeConfig().buffer_capacity(1000, 10**6) == (
+            scaled_buffer_bytes(1000, 10**6))
+        assert SparsepipeConfig().buffer_capacity(1000) == PAPER_BUFFER_BYTES
+
+    def test_simulator_reports_the_resolved_capacity(self):
+        prep = preprocess(banded_mesh(60, 4, 200, seed=1),
+                          reorder=None, block_size=None)
+        plan = LoadPlan.from_matrix(prep, 32)
+        config = SparsepipeConfig(subtensor_cols=32)
+        result = SparsepipeSimulator(config).run(
+            make_profile(), prep, paper_nnz=10**6)
+        assert result.extra["buffer_capacity_bytes"] == float(
+            config.buffer_capacity(plan.total_nnz, 10**6))
 
     def test_with_memory_swaps_only_memory(self):
         cfg = SparsepipeConfig()

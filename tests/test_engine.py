@@ -175,15 +175,19 @@ class TestCacheKey:
 
 class TestInstrumentation:
     def test_zero_observer_matches_default_except_samples(self, prep):
+        """The default is the zero-observer run; a step-trace observer
+        adds Fig 15's samples and changes nothing else."""
         profile = make_profile()
         sim = SparsepipeSimulator(SparsepipeConfig(subtensor_cols=32))
         default = sim.run(profile, prep)
         bare = sim.run(profile, prep, observers=())
+        traced = sim.run(profile, prep, observers=[StepTraceObserver()])
+        assert default == bare
         assert bare.bandwidth_samples == []
-        assert default.bandwidth_samples  # default keeps Fig 15 samples
-        assert bare.cycles == default.cycles  # bit-identical, not approx
-        assert bare.traffic == default.traffic
-        assert replace(bare, bandwidth_samples=default.bandwidth_samples) == default
+        assert traced.bandwidth_samples  # the observer yields Fig 15 samples
+        assert bare.cycles == traced.cycles  # bit-identical, not approx
+        assert bare.traffic == traced.traffic
+        assert replace(bare, bandwidth_samples=traced.bandwidth_samples) == traced
 
     def test_step_events_close_each_step(self, prep):
         log = EventLogObserver()

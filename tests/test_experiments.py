@@ -34,6 +34,23 @@ from repro.workloads.registry import workload_names
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
+#: The headline numbers EXPERIMENTS.md prints, to the decimals it
+#: prints them: Fig 14's per-application geomean speedups over the
+#: ideal accelerator and its overall max, and Table I's measured
+#: reuse-window (max%, avg%) per matrix.
+FIG14_GEOMEANS = {
+    "pr": 1.93, "kcore": 1.52, "bfs": 1.52, "sssp": 1.72, "kpp": 1.76,
+    "knn": 1.57, "label": 1.69, "gcn": 2.12, "gmres": 1.64, "cg": 1.13,
+    "bgs": 1.05,
+}
+FIG14_MAX = 2.26
+TABLE1_MEASURED = {
+    "ca": (47.3, 29.3), "gy": (2.7, 2.3), "g2": (4.9, 2.5),
+    "co": (8.4, 5.8), "bu": (92.0, 46.1), "wi": (43.0, 22.3),
+    "ad": (7.2, 4.7), "ro": (1.6, 1.0), "eu": (3.3, 2.2),
+}
+
+
 @pytest.fixture(scope="module")
 def small_context() -> ExperimentContext:
     return ExperimentContext(
@@ -252,6 +269,35 @@ class TestSummary:
             if digest(r.to_dict()) != expected["/".join(p)]
         ]
         assert mismatched == []
+
+    def test_fig14_headline_numbers(self, full_context):
+        """Each number as EXPERIMENTS.md prints it; a drift names the
+        number it moved."""
+        rows = fig14.run(full_context)
+        drift = [
+            f"Fig 14 {r.workload} geomean {FIG14_GEOMEANS[r.workload]:.2f}"
+            f" → {r.geomean:.2f}"
+            for r in rows
+            if f"{r.geomean:.2f}" != f"{FIG14_GEOMEANS[r.workload]:.2f}"
+        ]
+        overall = max(r.max for r in rows)
+        if f"{overall:.2f}" != f"{FIG14_MAX:.2f}":
+            drift.append(f"Fig 14 max {FIG14_MAX:.2f} → {overall:.2f}")
+        assert sorted(r.workload for r in rows) == sorted(FIG14_GEOMEANS)
+        assert not drift, "\n".join(drift)
+
+    def test_table1_headline_numbers(self):
+        drift = []
+        rows = table1.run()
+        for r in rows:
+            for label, value, stated in (
+                    ("max%", r.max_pct, TABLE1_MEASURED[r.matrix][0]),
+                    ("avg%", r.avg_pct, TABLE1_MEASURED[r.matrix][1])):
+                if f"{value:.1f}" != f"{stated:.1f}":
+                    drift.append(
+                        f"Table I {r.matrix} {label} {stated:.1f} → {value:.1f}")
+        assert sorted(r.matrix for r in rows) == sorted(TABLE1_MEASURED)
+        assert not drift, "\n".join(drift)
 
     def test_summary_main_prints_verdicts(self, small_context, capsys):
         from repro.experiments import summary

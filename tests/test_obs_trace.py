@@ -179,9 +179,22 @@ def reference_document(stream, manifest):
     stage_tracks = {"os": "os", "ewise": "ewise", "is": "is",
                     "extra": "extra", "memory": "dram"}
     for batch in stream:
-        for (step, cycles, prefetch, transfers, evict, repack,
-             moved, stage_cycles) in batch.steps:
-            start, fill = total, step == FILL_STEP
+        n = batch.cycles.size
+        for j in range(n + 1):
+            fill = j == n
+            step = FILL_STEP if fill else j
+            cycles = batch.fill if fill else batch.cycles[j]
+            moved = {} if fill else {
+                cat: column[j].item() for cat, column in batch.moved
+            }
+            stage_cycles = {} if fill else {
+                stage: column[j].item() for stage, column in batch.stages
+            }
+            transfers = [(cat, val) for cat, val in moved.items() if val]
+            prefetch = moved.get("csr_eager", 0.0)
+            evict = 0.0 if fill else batch.evict[j].item()
+            repack = not fill and bool(batch.repack[j])
+            start = total
             total = total + float(cycles)
             steps += not fill
             events.append({
@@ -191,7 +204,7 @@ def reference_document(stream, manifest):
                 "args": {"step": int(step),
                          "moved_bytes": float(sum(moved.values()))},
             })
-            for stage, busy in (stage_cycles or {}).items():
+            for stage, busy in stage_cycles.items():
                 if stage in stage_tracks and busy > 0.0:
                     events.append({
                         "name": stage, "ph": "X", "ts": start,

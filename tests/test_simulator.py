@@ -7,6 +7,7 @@ import pytest
 from repro.arch import SparsepipeConfig, SparsepipeSimulator, CPU_DDR4
 from repro.arch.profile import WorkloadProfile
 from repro.baselines import CPUModel, GPUModel, IdealAccelerator, OracleAccelerator
+from repro.engine.instrumentation import StepTraceObserver
 from repro.errors import ConfigError
 from repro.matrices import banded_mesh, bipartite_block, erdos_renyi
 from repro.preprocess import preprocess
@@ -182,7 +183,10 @@ class TestPaperQualitative:
 
     def test_bandwidth_samples_cover_run(self, banded_prep):
         cfg = SparsepipeConfig(subtensor_cols=32)
-        result = SparsepipeSimulator(cfg).run(make_profile(n_iterations=6), banded_prep)
+        result = SparsepipeSimulator(cfg).run(
+            make_profile(n_iterations=6), banded_prep,
+            observers=[StepTraceObserver()],
+        )
         assert len(result.bandwidth_samples) == 25
         shares = result.bandwidth_samples[0].category_share
         assert abs(sum(shares.values()) - 1.0) < 1e-6 or sum(shares.values()) == 0.0

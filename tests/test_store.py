@@ -40,6 +40,7 @@ from repro.arch.config import SparsepipeConfig
 from repro.arch.simulator import SparsepipeSimulator
 from repro.arch.stats import SimResult
 from repro.engine.cache import STORE_FILE, ResultCache, _entry_name
+from repro.engine.instrumentation import StepTraceObserver
 from repro.errors import Diagnostic
 from repro.experiments.runner import ExperimentContext
 from repro.matrices import banded_mesh
@@ -57,7 +58,7 @@ def result() -> SimResult:
     prep = preprocess(banded_mesh(120, 6, 400, seed=3),
                       reorder=None, block_size=None)
     return SparsepipeSimulator(SparsepipeConfig(subtensor_cols=32)).run(
-        make_profile(n_iterations=2), prep)
+        make_profile(n_iterations=2), prep, observers=[StepTraceObserver()])
 
 
 def _key(i: int):

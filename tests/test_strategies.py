@@ -1,11 +1,11 @@
 """Smoke tests for the shared hypothesis strategy module itself."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.arch.stats import TRAFFIC_CATEGORIES
 from repro.dataflow.program import OEIProgram
-from repro.engine.instrumentation import FILL_STEP
 from repro.semiring import MONOIDS, SEMIRINGS
 from tests.strategies import (
     COO_DTYPES,
@@ -123,14 +123,20 @@ def test_raw_coo_is_in_range_and_aligned(entry):
 @given(replay_streams())
 def test_replay_streams_hold_well_formed_records(stream):
     for batch in stream:
-        for (step, _cycles, _pref, transfers, _evict, repack,
-             moved, stage_cycles) in batch.steps:
-            assert step == FILL_STEP or step >= 0
-            assert (stage_cycles is None) == (step == FILL_STEP)
-            assert set(stage_cycles or ()) <= set(TRACE_STAGES)
-            assert {c for c, _ in transfers} | set(moved) <= set(
-                TRAFFIC_CATEGORIES)
-            assert isinstance(repack, bool)
+        n = batch.cycles.size
+        assert batch.cycles.dtype == np.float64
+        assert batch.evict.shape == batch.repack.shape == (n,)
+        assert batch.repack.dtype == bool
+        categories = [cat for cat, _ in batch.moved]
+        stages = [stage for stage, _ in batch.stages]
+        assert len(set(categories)) == len(categories)
+        assert set(categories) <= set(TRAFFIC_CATEGORIES)
+        assert len(set(stages)) == len(stages)
+        assert set(stages) <= set(TRACE_STAGES)
+        for _, column in batch.moved + batch.stages:
+            assert column.shape == (n,) and column.dtype == np.float64
+        assert isinstance(batch.fill, float)
+        assert [row[0] for row in batch.rows()] == list(range(n))
 
 
 @settings(max_examples=20, deadline=None)
