@@ -23,7 +23,9 @@ FILE`` (a per-code finding budget; exceeding it fails the command even
 for warnings, so new findings cannot accumulate silently — CI pins
 ``diagnostics_baseline.json``). ``--jobs N`` fans sweeps and autotune
 probes out over a pool of N worker processes when N > 1, and runs them
-serially in this process otherwise (docs/scheduling.md); ``--cache
+serially in this process otherwise; it also caps the threads that
+characterize a sweep's missing profiles, one per usable CPU when it is
+not given (docs/scheduling.md); ``--cache
 DIR`` persists simulation results on disk so reruns skip straight to
 the tables; ``--on-error skip|retry`` keeps a sweep alive through
 per-point failures (recorded in run manifests — docs/robustness.md).
@@ -396,7 +398,9 @@ def _add_context_flags(
         parser.add_argument(
             "-j", "--jobs", type=int, default=None, metavar="N",
             help="simulate on a pool of N worker processes when N > 1 "
-                 "(default: serial, in this process)",
+                 "(default: serial, in this process); a sweep also "
+                 "characterizes its missing profiles on up to N threads "
+                 "(default: one per CPU this process may use)",
         )
     parser.add_argument(
         "--cache", default=None, metavar="DIR",

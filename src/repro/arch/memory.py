@@ -20,6 +20,7 @@ from typing import Mapping, Optional
 from repro.arch.config import SparsepipeConfig
 from repro.arch.dram import BankedDRAM
 from repro.arch.stats import TrafficBreakdown
+from repro.util.numeric import left_sum
 
 
 class MemoryController:
@@ -60,7 +61,7 @@ class MemoryController:
         streaming-friendly large bursts when absent).
         """
         if self._banked is None:
-            return self.cycles_for(sum(moved.values()))
+            return self.cycles_for(left_sum(moved.values()))
         total = 0.0
         for category, n_bytes in moved.items():
             if n_bytes <= 0:

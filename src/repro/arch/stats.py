@@ -8,7 +8,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.util.numeric import safe_div
+from repro.util.numeric import left_sum, safe_div
 
 #: Traffic categories, matching the stacked areas of Fig 15.
 TRAFFIC_CATEGORIES = (
@@ -38,7 +38,7 @@ class TrafficBreakdown:
 
     @property
     def total_bytes(self) -> float:
-        return sum(self.bytes_by_category.values())
+        return left_sum(self.bytes_by_category.values())
 
     @property
     def matrix_bytes(self) -> float:
@@ -110,7 +110,7 @@ class StepTrace:
                 for cat, val in self.bytes_by_category[step_idx].items():
                     bin_bytes[cat] += val
                 step_idx += 1
-            moved = sum(bin_bytes.values())
+            moved = left_sum(bin_bytes.values())
             util = safe_div(moved, bin_cycles * bytes_per_cycle)
             share = {c: safe_div(v, moved) for c, v in bin_bytes.items()}
             out.append(BandwidthSample(b / n_bins, min(1.0, util), share))

@@ -14,6 +14,7 @@ from repro.engine.registry import run_engine
 from repro.experiments.report import format_bar_series
 from repro.experiments.runner import ExperimentContext, FIG15_PAIRS
 from repro.matrices.suite import SUITE
+from repro.util.numeric import left_sum
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class Fig15Series:
     def mean_utilization(self) -> float:
         if not self.samples:
             return 0.0
-        return sum(s.utilization for s in self.samples) / len(self.samples)
+        return left_sum(s.utilization for s in self.samples) / len(self.samples)
 
 
 def run(context: Optional[ExperimentContext] = None) -> List[Fig15Series]:

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional
 from repro.arch.area import AreaModel, CPU_AREA_MM2, GPU_AREA_MM2
 from repro.experiments.report import format_table
 from repro.experiments.runner import ExperimentContext, GPU_WORKLOADS
-from repro.util.numeric import geomean
+from repro.util.numeric import geomean, left_sum
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def run_perf_per_area(
 def main(context: Optional[ExperimentContext] = None) -> str:
     context = context or ExperimentContext()
     storage = run_storage(context)
-    average = sum(r.ratio_reordered for r in storage) / len(storage)
+    average = left_sum(r.ratio_reordered for r in storage) / len(storage)
     text = format_table(
         ["matrix", "blocked/dual (natural)", "blocked/dual (reordered)"],
         [(r.matrix, r.ratio_no_reorder, r.ratio_reordered) for r in storage],

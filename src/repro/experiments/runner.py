@@ -35,6 +35,7 @@ every produced or cache-served result carries a
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -76,6 +77,11 @@ GPU_WORKLOADS = ("bfs", "kcore", "pr", "sssp")
 #: A simulation point: (architecture, workload, matrix).
 Point = Tuple[str, str, str]
 
+#: The longest characterizations, which go first within a matrix: the
+#: Krylov solvers (bgs, gmres, cg) take ~60% of a cold grid's
+#: characterization, and cg, bgs and gmres share one system per matrix.
+LONGEST_FIRST = ("bgs", "gmres", "cg")
+
 
 @dataclass
 class ExperimentContext:
@@ -85,8 +91,10 @@ class ExperimentContext:
     sets; pass subsets for quick exploratory runs and tests.
     ``cache_dir`` enables the persistent on-disk result cache;
     ``max_workers`` sets the process-pool width of
-    :meth:`simulate_many` (``None`` = serial), and ``on_error`` its
-    per-point failure policy (``"raise"`` | ``"skip"`` | ``"retry"``).
+    :meth:`simulate_many` (``None`` = serial) and caps the threads that
+    characterize a sweep's missing profiles (``None`` = the CPUs this
+    process may use), and ``on_error`` sets its per-point failure
+    policy (``"raise"`` | ``"skip"`` | ``"retry"``).
     """
 
     config: SparsepipeConfig = field(default_factory=SparsepipeConfig)
@@ -414,9 +422,11 @@ class ExperimentContext:
         Results come back in input order and are bit-identical to
         calling :meth:`simulate` serially — the fan-out only changes
         wall-clock time. Cached points (in-memory or on-disk) are never
-        re-simulated. This process probes every point's result and
-        reads the profile and permutation rows the missing points need;
-        then one closure over this context simulates each missing point
+        re-simulated. This process probes every point's result, reads
+        the profile and permutation rows the missing points need and
+        characterizes the profiles neither holds on threads
+        (:meth:`_characterize`); then one closure over this context
+        simulates each missing point
         — a pool worker on its forked copy — and this process records
         them in fan-out order and stores their rows in one transaction.
 
@@ -461,6 +471,7 @@ class ExperimentContext:
             for key in missing.values():
                 self._lint_once(key[1])
                 self._read_rows(key)
+            self._characterize(missing.values())
 
             def fn(point: Point) -> Tuple:
                 # Chaos-test site: no-op unless a FaultPlan with a
@@ -491,6 +502,68 @@ class ExperimentContext:
                               if v is not None}
                 self._absorb_outcome(outcome, list(missing.values()))
         return [self._results.get(key) for key in keys]
+
+    def _characterize(self, keys: Iterable[Tuple]) -> None:
+        """Compute every profile the missing points ``keys`` need that
+        neither memory nor the store holds, on up to ``max_workers``
+        threads (default: the CPUs this process may run on), so the
+        fan-out finds them ready.
+
+        The characterization arithmetic is numpy gathers, products and
+        ``bincount``s, which release the GIL. The (workload, matrix)
+        groups go matrix-major, largest matrix first and
+        :data:`LONGEST_FIRST` first within it, so concurrent threads
+        share one matrix's images and Krylov system, and that system
+        is freed before the next matrix starts. The threads only call
+        ``profile``: matrix loads, store writes and metrics stay in
+        this thread, and every thread is joined before the fan-out
+        can fork. A group whose characterization raises stays
+        uncomputed, so the point that needs it raises again in its own
+        attempt, under the context's ``on_error``.
+        """
+        groups = list(dict.fromkeys(
+            (key[1], key[2]) for key in keys
+            if (key[1], key[2]) not in self._profiles
+            and self._rows.get(("profile", key[1], key[2])) is None))
+        matrices = {}
+        for matrix_name in dict.fromkeys(m for _, m in groups):
+            try:
+                matrices[matrix_name] = self.graphblas_matrix(matrix_name)
+            except Exception:  # the point's own attempt raises it
+                pass
+        rank = {w: i for i, w in enumerate(LONGEST_FIRST + tuple(
+            w for w in workload_names() if w not in LONGEST_FIRST))}
+        groups = sorted(
+            (g for g in groups if g[1] in matrices),
+            key=lambda g: (-matrices[g[1]].nnz, g[1], rank[g[0]]))
+
+        def characterize(group: Tuple[str, str]) -> Optional[WorkloadProfile]:
+            workload_name, matrix_name = group
+            try:
+                return get_workload(workload_name).profile(
+                    matrices[matrix_name])
+            except Exception:  # the point's own attempt raises it
+                return None
+
+        width = self.max_workers
+        if width is None:
+            try:
+                width = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                width = os.cpu_count() or 1
+        width = min(width, len(groups))
+        if width <= 1:
+            profiles = [characterize(g) for g in groups]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(width) as threads:
+                profiles = list(threads.map(characterize, groups))
+        for group, profile in zip(groups, profiles):
+            if profile is not None:
+                self._profiles[group] = profile
+                if self._disk is not None:
+                    self._disk.put_profile(*group, profile)
 
     def _absorb_outcome(
         self, outcome: FanoutOutcome, ordered_keys: List[Tuple],

@@ -18,7 +18,7 @@ from repro.experiments import (
 )
 from repro.experiments.report import format_table
 from repro.experiments.runner import ExperimentContext
-from repro.util.numeric import geomean
+from repro.util.numeric import geomean, left_sum
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def run(context: Optional[ExperimentContext] = None) -> List[Claim]:
     ))
 
     storage = fig20.run_storage(context)
-    avg_ratio = sum(r.ratio_reordered for r in storage) / len(storage)
+    avg_ratio = left_sum(r.ratio_reordered for r in storage) / len(storage)
     claims.append(Claim(
         "blocked dual storage vs naive dual", "39.2%",
         f"{100 * avg_ratio:.1f}%", 0.3 < avg_ratio < 0.5,

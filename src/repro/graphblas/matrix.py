@@ -7,18 +7,24 @@ the host-side mirror of Sparsepipe's dual sparse storage.
 The matrix never changes across solver iterations, so its structure is
 derived once and reused by every contraction: the per-entry row and
 column segment ids are cached next to the two images, read-only, the
-way Sparsepipe streams the loop-invariant index arrays once.
+way Sparsepipe streams the loop-invariant index arrays once. Threads
+that contract one matrix at once share them, and each is built once.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import threading
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.coo import COOMatrix
 from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
+
+#: Guards the lazy CSR, CSC and column ids, so threads that reach one at
+#: once build it once. Re-entrant: ``col_ids`` builds the CSC first.
+_BUILD_LOCK = threading.RLock()
 
 
 class Matrix:
@@ -78,18 +84,25 @@ class Matrix:
     def coo(self) -> COOMatrix:
         return self._coo
 
+    def _build(self, attr: str, build: Callable[[], object]) -> None:
+        """Set the lazy ``attr`` to ``build()`` unless another thread
+        already has."""
+        with _BUILD_LOCK:
+            if getattr(self, attr) is None:
+                setattr(self, attr, build())
+
     @property
     def csr(self) -> CSRMatrix:
         """Row-oriented view, built on first use."""
         if self._csr is None:
-            self._csr = CSRMatrix.from_coo(self._coo)
+            self._build("_csr", lambda: CSRMatrix.from_coo(self._coo))
         return self._csr
 
     @property
     def csc(self) -> CSCMatrix:
         """Column-oriented view, built on first use."""
         if self._csc is None:
-            self._csc = CSCMatrix.from_coo(self._coo)
+            self._build("_csc", lambda: CSCMatrix.from_coo(self._coo))
         return self._csc
 
     @property
@@ -109,7 +122,7 @@ class Matrix:
         """Column of each CSC entry — the sorted segment ids of ``vxm``;
         built once and read-only, like :attr:`row_ids`."""
         if self._col_ids is None:
-            self._col_ids = _segment_ids(self.csc.col_nnz())
+            self._build("_col_ids", lambda: _segment_ids(self.csc.col_nnz()))
         return self._col_ids
 
     def to_dense(self) -> np.ndarray:

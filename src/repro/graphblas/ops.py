@@ -10,6 +10,7 @@ the CSR image (IS orientation); both compute the same contraction.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from typing import Callable, Optional, Tuple
 
@@ -94,21 +95,42 @@ def _finalize(
 #: ``(segment_ids, minor_indices, values)`` of one compressed image.
 Stream = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-#: ``(weakref to matrix, by_rows, stream or None)`` of the last
-#: full-vector contraction that can take a stream. One is held, not
-#: one per matrix: an iteration loop contracts one matrix, while a
-#: stream costs 24 bytes per entry for as long as it is held, and a
-#: sweep keeps its matrices (and the shared Krylov systems) alive
-#: across many loops. It is dropped with its matrix.
-_last_stream: Tuple[Optional[weakref.ref], bool, Optional[Stream]] = (
-    None, False, None
-)
+
+class _StreamSlot:
+    """``(weakref to matrix, by_rows, stream or None)`` of one thread's
+    last full-vector contraction that can take a stream. One is held
+    per thread, not one per matrix: an iteration loop contracts one
+    matrix, while a stream costs 24 bytes per entry for as long as it
+    is held, and a sweep keeps its matrices (and the shared Krylov
+    systems) alive across many loops. Per thread, so threads that
+    characterize different matrices at once do not evict each other's
+    stream. It is dropped with its matrix, or with its thread."""
+
+    def __init__(self) -> None:
+        self.last: Tuple[Optional[weakref.ref], bool, Optional[Stream]] = (
+            None, False, None
+        )
+
+    def track(self, a: Matrix, by_rows: bool) -> None:
+        """Hold ``a`` with no stream yet. The matrix's weakref reaches
+        this slot only weakly, so a finished thread's slot is freed at
+        once, stream and all."""
+        slot = weakref.ref(self)
+
+        def forget(ref: weakref.ref) -> None:
+            held = slot()
+            if held is not None and held.last[0] is ref:
+                held.last = (None, False, None)
+
+        self.last = (weakref.ref(a, forget), by_rows, None)
 
 
-def _forget_stream(ref: weakref.ref) -> None:
-    global _last_stream
-    if _last_stream[0] is ref:
-        _last_stream = (None, False, None)
+class _PerThread(threading.local):
+    def __init__(self) -> None:
+        self.slot = _StreamSlot()
+
+
+_threads = _PerThread()
 
 
 def _rank_major(a: Matrix, by_rows: bool) -> Optional[Stream]:
@@ -125,10 +147,10 @@ def _rank_major(a: Matrix, by_rows: bool) -> Optional[Stream]:
     same way twice in a row, so one-off and alternating contractions
     never pay for it.
     """
-    global _last_stream
-    ref, rows, stream = _last_stream
+    slot = _threads.slot
+    ref, rows, stream = slot.last
     if ref is None or ref() is not a or rows != by_rows:
-        _last_stream = (weakref.ref(a, _forget_stream), by_rows, None)
+        slot.track(a, by_rows)
         return None
     if stream is None:
         if by_rows:
@@ -138,7 +160,7 @@ def _rank_major(a: Matrix, by_rows: bool) -> Optional[Stream]:
         rank = np.arange(ids.size) - compressed.indptr[ids]
         order = np.argsort(rank, kind="stable")
         stream = (ids[order], compressed.indices[order], compressed.data[order])
-        _last_stream = (ref, rows, stream)
+        slot.last = (ref, rows, stream)
     return stream
 
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.arch.stats import TRAFFIC_CATEGORIES, SimResult, TrafficBreakdown
 from repro.engine.instrumentation import Observer, ReplayBatch, left_fold
+from repro.util.numeric import left_sum
 
 #: ``json.dumps(doc, sort_keys=True)`` through one shared encoder: the
 #: text that manifest and metrics digests hash and store rows hold.
@@ -209,7 +210,7 @@ class MetricsRegistry:
         """Summed DRAM byte counters, in canonical category order (so
         the float sum is bit-identical to
         :attr:`TrafficBreakdown.total_bytes`)."""
-        return sum(self.value(dram_metric(c)) for c in TRAFFIC_CATEGORIES)
+        return left_sum(self.value(dram_metric(c)) for c in TRAFFIC_CATEGORIES)
 
     def to_dict(self) -> Dict[str, Dict[str, object]]:
         """Plain-JSON document: one entry per metric, emission order."""

@@ -38,6 +38,7 @@ from repro.engine.instrumentation import (
     left_fold,
     running_total,
 )
+from repro.util.numeric import left_sum
 
 #: Process id for the simulated Sparsepipe instance.
 TRACE_PID = 1
@@ -147,7 +148,7 @@ def _render(batch: ReplayBatch) -> List[Tuple[int, str]]:
     add = tmpl.append
     for j, cycles, moved, evict, repack, stages in batch.rows():
         add((j, _STEP % (
-            _float_text(sum(moved.values())), int.__repr__(j),
+            _float_text(left_sum(moved.values())), int.__repr__(j),
             _float_text(cycles), _str_text(f"step {j}"),
         )))
         for stage, busy in stages.items():
@@ -218,7 +219,7 @@ class TimelineObserver(Observer):
     def total_bytes(self) -> float:
         """Summed exported DRAM bytes, in canonical category order (so
         the float sum matches ``TrafficBreakdown.total_bytes`` exactly)."""
-        return sum(self.bytes_by_category[c] for c in TRAFFIC_CATEGORIES)
+        return left_sum(self.bytes_by_category[c] for c in TRAFFIC_CATEGORIES)
 
     def _metadata_events(self) -> List[Dict[str, object]]:
         out = [{

@@ -6,6 +6,17 @@ import math
 from typing import Iterable
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``0.0`` plus every value, added in order: the float a ``+=``
+    loop ends on. From Python 3.12 on ``sum()`` of floats is
+    compensated, so an output summed with it would depend on the
+    interpreter's minor version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def geomean(values: Iterable[float]) -> float:
     """Geometric mean of strictly positive values.
 
@@ -18,7 +29,7 @@ def geomean(values: Iterable[float]) -> float:
     for v in vals:
         if v <= 0:
             raise ValueError(f"geomean requires positive values, got {v!r}")
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
+    return math.exp(left_sum(math.log(v) for v in vals) / len(vals))
 
 
 def safe_div(numerator: float, denominator: float, default: float = 0.0) -> float:

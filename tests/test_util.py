@@ -17,6 +17,7 @@ from repro.util import (
     human_bytes,
     safe_div,
 )
+from repro.util.numeric import left_sum
 
 
 class TestValidation:
@@ -77,6 +78,37 @@ class TestNumeric:
     def test_human_bytes_negative(self):
         with pytest.raises(ValueError):
             human_bytes(-1)
+
+
+#: Summed in order, 1e16 + 1.0 rounds back to 1e16, so the += loop
+#: ends on 2.0; a compensated sum (``sum()`` from Python 3.12 on) gives
+#: the exact 3.0.
+CANCELLING = (1e16, 1.0, -1e16, 1.0, 1.0)
+
+
+class TestLeftSum:
+    """Byte totals that reach results, metrics and traces are left folds,
+    so they do not depend on the Python version."""
+
+    def test_left_sum_is_the_loop_total(self):
+        total = 0.0
+        for value in CANCELLING:
+            total += value
+        assert total == 2.0
+        assert left_sum(CANCELLING) == total
+        assert left_sum([]) == 0.0
+
+    def test_traffic_and_metric_totals_fold_left(self):
+        from repro.arch.stats import TRAFFIC_CATEGORIES, TrafficBreakdown
+        from repro.obs.metrics import MetricsRegistry, dram_metric
+
+        traffic = TrafficBreakdown()
+        registry = MetricsRegistry()
+        for category, n_bytes in zip(TRAFFIC_CATEGORIES, CANCELLING):
+            traffic.add(category, n_bytes)
+            registry.gauge(dram_metric(category)).set(n_bytes)
+        assert traffic.total_bytes == 2.0
+        assert registry.dram_bytes_total() == 2.0
 
 
 @settings(max_examples=50, deadline=None)
